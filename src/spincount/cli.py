@@ -37,7 +37,13 @@ from .gadgets import (
     symmetrize,
 )
 from .instances import HolantInstance, InstanceError, parse, z_exact
-from .matching import EstimatorConfig, build_triangle_graph, estimate_z_fpras, serialize_graph
+from .matching import (
+    EXACT_CAP,
+    EstimatorConfig,
+    build_triangle_graph,
+    estimate_z_fpras,
+    serialize_graph,
+)
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
@@ -288,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--epsilon", default="1/10", help="accuracy target, a rational")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=30, help="exact-counting crossover size")
+    p.add_argument("--exact-cap", type=int, default=EXACT_CAP, help="exact-counting crossover size")
 
     p = add("holant-check", "report whether every variable occurs exactly twice", _cmd_holant_check)
     p.add_argument("file")

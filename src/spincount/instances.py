@@ -150,12 +150,7 @@ class CspInstance:
         reg_pairs = tuple(registry.items() if isinstance(registry, Mapping) else registry)
         cons = tuple((tuple(scope), name) for scope, name in constraints)
         if variables is None:
-            ordered: list[str] = []
-            for scope, _ in cons:
-                for v in scope:
-                    if v not in ordered:
-                        ordered.append(v)
-            variables = ordered
+            variables = tuple(dict.fromkeys(v for scope, _ in cons for v in scope))
         return cls(tuple(variables), reg_pairs, cons)
 
     def registry_map(self) -> dict[str, Table]:
@@ -425,11 +420,28 @@ def z_product_type(inst: Instance) -> Fraction:
 # Holant conversion
 
 
-def _fresh_prefix(base: str, taken: Iterable[str], tag: str = "eq") -> str:
-    """A generated-name prefix that cannot collide with existing names."""
-    taken = set(taken)
+def _dotted_prefixes(names: Iterable[str]) -> set[str]:
+    """Every prefix ending in a dot of every name.
+
+    A name starts with a dot-terminated string p exactly when p is in the set,
+    so a prefix test against all names is one membership test.
+    """
+    out: set[str] = set()
+    for name in names:
+        i = name.find(".")
+        while i >= 0:
+            out.add(name[: i + 1])
+            i = name.find(".", i + 1)
+    return out
+
+
+def _fresh_prefix(base: str, taken: set[str], tag: str = "eq") -> str:
+    """A generated-name prefix that no name in use starts with.
+
+    ``taken`` is the ``_dotted_prefixes`` set of the names in use.
+    """
     prefix = f"{base}.{tag}."
-    while any(t.startswith(prefix) for t in taken):
+    while prefix in taken:
         prefix = prefix[:-1] + "q."
     return prefix
 
@@ -469,8 +481,11 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
     csp = _as_csp(inst)
     if csp.has_signed():
         raise InstanceError("signed registries cannot be converted")
-    degrees = csp.degrees()
-    if all(d == 2 for d in degrees.values()):
+    slots: dict[str, list[tuple[int, int]]] = {v: [] for v in csp.variables}
+    for ci, (scope, _) in enumerate(csp.constraints):
+        for pos, v in enumerate(scope):
+            slots[v].append((ci, pos))
+    if all(len(s) == 2 for s in slots.values()):
         holant = HolantInstance(csp)
         return _certify(csp, holant, cap)
     eq_name = _fresh_fn_name("eq3", csp.registry_map(), EQ3)
@@ -479,35 +494,28 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
         registry.append((eq_name, EQ3))
     slot_names: dict[tuple[int, int], str] = {}
     extra: list[tuple[tuple[str, ...], str]] = []
-    all_names = list(csp.variables)
-    for v in csp.variables:
-        slots = [
-            (ci, pos)
-            for ci, (scope, _) in enumerate(csp.constraints)
-            for pos, w in enumerate(scope)
-            if w == v
-        ]
-        d = len(slots)
+    taken = _dotted_prefixes(csp.variables)
+    for v, v_slots in slots.items():
+        d = len(v_slots)
         if d == 2:
             continue
-        prefix = _fresh_prefix(v, all_names)
+        prefix = _fresh_prefix(v, taken)
+        # Generated names are the prefix plus digits: its dotted prefixes are theirs.
+        taken |= _dotted_prefixes((prefix,))
         if d == 0:
             extra.append(((v, f"{prefix}1", f"{prefix}1"), eq_name))
             extra.append(((v, f"{prefix}2", f"{prefix}2"), eq_name))
-            all_names += [f"{prefix}1", f"{prefix}2"]
         elif d == 1:
             extra.append(((v, f"{prefix}1", f"{prefix}1"), eq_name))
-            all_names.append(f"{prefix}1")
         else:
             ends = [f"{prefix}{i + 1}" for i in range(d)]
             link = [f"{prefix}{d + i}" for i in range(1, d - 2)]
-            for i, slot in enumerate(slots):
+            for i, slot in enumerate(v_slots):
                 slot_names[slot] = ends[i]
             for i in range(1, d - 1):
                 first = ends[0] if i == 1 else link[i - 2]
                 third = ends[d - 1] if i == d - 2 else link[i - 1]
                 extra.append(((first, ends[i], third), eq_name))
-            all_names += ends + link
     constraints = []
     for ci, (scope, name) in enumerate(csp.constraints):
         new_scope = tuple(slot_names.get((ci, pos), v) for pos, v in enumerate(scope))
@@ -600,12 +608,12 @@ def near_assignment_total(inst: HolantInstance, cap: Optional[int] = None) -> Fr
 def _split_pair(
     csp: CspInstance, u: str, v: str, neq_name: str, registry: list[tuple[str, Table]]
 ) -> CspInstance:
-    names = set(csp.variables)
+    taken = _dotted_prefixes(csp.variables)
     constraints = []
     seen: dict[str, int] = {u: 0, v: 0}
     renames: dict[str, list[str]] = {}
     for w in (u, v):
-        prefix = _fresh_prefix(w, names, "split")
+        prefix = _fresh_prefix(w, taken, "split")
         renames[w] = [f"{prefix}1", f"{prefix}2"]
     for scope, name in csp.constraints:
         new_scope = []

@@ -28,6 +28,7 @@ from .funcs import (
     CapacityError,
     PBFunction,
     SignedTable,
+    bit_flip,
     bits_of,
     fourier,
     frac,
@@ -39,6 +40,7 @@ from .instances import (
     HolantInstance,
     Instance,
     InstanceError,
+    _as_csp,
     to_holant,
 )
 
@@ -176,10 +178,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     while f"{base}.{i}" in taken:
         i += 1
     return f"{base}.{i}"
-
-
-def _as_csp(inst: Instance) -> CspInstance:
-    return inst.csp if isinstance(inst, HolantInstance) else inst
 
 
 def lift_instance(inst: Instance) -> CspInstance:
@@ -612,7 +610,10 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
 
 
 def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fraction:
-    """Partition-function estimate for an instance over one nonnegative-Fourier binary f.
+    """Partition-function estimate for an instance over one binary f.
+
+    f or its bit flip must have nonnegative Fourier coefficients; in the second
+    case the pipeline runs on the flipped instance, whose Z is the same.
 
     Exact (and equal to brute force) whenever the triangle graph fits under
     ``cfg.exact_cap``; otherwise the matching chain supplies the estimate and
@@ -620,17 +621,22 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
     """
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
-    if not in_cp(f):
-        raise InstanceError(
-            "function has a negative Fourier coefficient; classify_two_spin reports which "
-            "regime applies instead"
-        )
     csp = _as_csp(inst)
     names = csp.registry_map()
     for _, name in csp.constraints:
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
             raise InstanceError(f"constraint function {name!r} differs from the pipeline function")
+    if not in_cp(f):
+        if not in_cp(bit_flip(f)):
+            raise InstanceError(
+                "function has a negative Fourier coefficient; classify_two_spin reports which "
+                "regime applies instead"
+            )
+        # Flipping every spin maps f to bit_flip(f) in each constraint and keeps Z.
+        used = {name for _, name in csp.constraints}
+        registry = tuple((name, bit_flip(fn) if name in used else fn) for name, fn in csp.registry)
+        csp = CspInstance(csp.variables, registry, csp.constraints)
     lifted = lift_instance(csp)
     form = holant_fourier_form(lifted)
     if form.is_zero:

@@ -163,6 +163,14 @@ def test_z_estimate_sampling_path_stays_close(ferro_file, capsys):
     assert Fraction(9, 10) * 28 <= value <= Fraction(11, 10) * 28
 
 
+def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys):
+    """binary(1, 1, 1, 4) is tagged FPRAS but has negative Fourier coefficients."""
+    path = tmp_path / "ring1114.csp"
+    path.write_text("fun g 2 1 1 1 4\n" + "".join(f"con g x{i} x{(i + 1) % 4}\n" for i in range(4)))
+    assert main(["z-estimate", str(path)]) == 0
+    assert capsys.readouterr().out == "343\n"
+
+
 def test_z_estimate_rejects_mixed_instances(tmp_path, capsys):
     path = tmp_path / "mixed.csp"
     path.write_text("fun f 2 2 1 1 2\nfun g 2 1 0 0 1\ncon f x y\ncon g y x\n")

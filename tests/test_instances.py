@@ -205,6 +205,75 @@ def test_to_holant_avoids_name_collisions():
     assert conv.verified is True
 
 
+def _holant_scopes(constraints):
+    inst = CspInstance.build({"u": unary(1, 2), "imp": IMP}, constraints)
+    return [scope for scope, _ in to_holant(inst).holant.constraints]
+
+
+def test_to_holant_names_skip_taken_dotted_prefix():
+    """x.eq.1 and x.eq.7.y both start with x.eq., so x's junctions move to x.eqq."""
+    scopes = _holant_scopes(
+        [(("x",), "u"), (("x",), "u"), (("x",), "u"),
+         (("x.eq.1", "x.eq.7.y"), "imp"), (("x.eq.7.y", "x.eq.1"), "imp")]
+    )
+    assert scopes == [
+        ("x.eqq.1",), ("x.eqq.2",), ("x.eqq.3",),
+        ("x.eq.1", "x.eq.7.y"), ("x.eq.7.y", "x.eq.1"),
+        ("x.eqq.1", "x.eqq.2", "x.eqq.3"),
+    ]
+
+
+def test_to_holant_names_dotted_base():
+    scopes = _holant_scopes(
+        [(("a.b",), "u"), (("a", "a.b"), "imp"), (("a.b", "a"), "imp"), (("a",), "u")]
+    )
+    assert scopes == [
+        ("a.b.eq.1",), ("a.eq.1", "a.b.eq.2"), ("a.b.eq.3", "a.eq.2"), ("a.eq.3",),
+        ("a.b.eq.1", "a.b.eq.2", "a.b.eq.3"), ("a.eq.1", "a.eq.2", "a.eq.3"),
+    ]
+
+
+def test_to_holant_names_undotted_name_is_not_a_prefix():
+    """A variable named x.eq does not start with x.eq., so x keeps that prefix."""
+    scopes = _holant_scopes([(("x", "x.eq"), "imp"), (("x.eq", "x"), "imp"), (("x",), "u")])
+    assert scopes == [
+        ("x.eq.1", "x.eq"), ("x.eq", "x.eq.2"), ("x.eq.3",), ("x.eq.1", "x.eq.2", "x.eq.3"),
+    ]
+
+
+def test_to_holant_names_generated_earlier_are_taken():
+    """x.eq is converted first; its junction names x.eq.eq.* push x to x.eqq."""
+    scopes = _holant_scopes(
+        [(("x.eq",), "u"), (("x.eq", "x"), "imp"), (("x", "x.eq"), "imp"), (("x",), "u")]
+    )
+    assert scopes == [
+        ("x.eq.eq.1",), ("x.eq.eq.2", "x.eqq.1"), ("x.eqq.2", "x.eq.eq.3"), ("x.eqq.3",),
+        ("x.eq.eq.1", "x.eq.eq.2", "x.eq.eq.3"), ("x.eqq.1", "x.eqq.2", "x.eqq.3"),
+    ]
+
+
+def test_build_infers_variables_in_first_use_order():
+    inst = CspInstance.build(
+        {"imp": IMP, "x3": XOR3},
+        [(("b", "a", "b"), "x3"), (("c", "a"), "imp"), (("a", "d"), "imp"), (("d", "c"), "imp")],
+    )
+    assert inst.variables == ("b", "a", "c", "d")
+
+
+def test_to_holant_hub_ring_structure():
+    """A ring sharing one hub of degree m converts with m - 2 junctions for the hub."""
+    m = 2000
+    inst = CspInstance.build(
+        {"t": XOR3}, [((f"x{i}", f"x{(i + 1) % m}", "h"), "t") for i in range(m)]
+    )
+    holant = to_holant(inst).holant
+    assert set(holant.csp.degrees().values()) == {2}
+    junctions = [scope for scope, name in holant.constraints if name == "eq3"]
+    assert len(junctions) == m - 2
+    assert all(v.startswith("h.eq.") for scope in junctions for v in scope)
+    assert [scope[2] for scope, _ in holant.constraints[:m]] == [f"h.eq.{i + 1}" for i in range(m)]
+
+
 def test_to_holant_random_preserves_z():
     """Conversion preserves the partition function beyond the certificate cap."""
     rng = random.Random(5)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from spincount.funcs import EQ, EQ3, XOR3, CapacityError, binary, fourier, unary
+from spincount.classify import TwoSpinTag, classify_two_spin
+from spincount.funcs import EQ, EQ3, XOR3, CapacityError, binary, fourier, in_cp, unary
 from spincount.instances import CspInstance, HolantInstance, InstanceError, z_exact
 from spincount.matching import (
     Edge,
@@ -24,7 +25,7 @@ from spincount.matching import (
     sdp3_lift,
     serialize_graph,
 )
-from helpers import rand_cp_binary, rand_csp_instance
+from helpers import rand_binary, rand_cp_binary, rand_csp_instance
 
 
 def graph(vertices, edges):
@@ -314,6 +315,20 @@ def test_estimate_z_fpras_random_exact_path():
         inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
         cfg = EstimatorConfig(exact_cap=60)
         assert estimate_z_fpras(f, inst, cfg) == z_exact(inst)
+
+
+def test_estimate_z_fpras_accepts_every_fpras_tag():
+    """Binaries tagged FPRAS are estimated exactly, also those run under a spin flip."""
+    rng = random.Random(43)
+    flipped = 0
+    for _ in range(20):
+        f = rand_binary(rng)
+        while classify_two_spin(f).tag is not TwoSpinTag.FPRAS:
+            f = rand_binary(rng)
+        flipped += not in_cp(f)
+        inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
+        assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == z_exact(inst)
+    assert flipped > 0
 
 
 def test_estimate_z_fpras_rejects_negative_fourier():
