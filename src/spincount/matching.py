@@ -4,12 +4,14 @@ The pipeline: lift a binary function to arity 3 along a shared auxiliary
 variable, rewrite the instance over normalized Fourier tables (unit value at
 the all-zero input, zero on odd-weight inputs), build a weighted multigraph
 with one triangle per constraint whose perfect matchings sum exactly to the
-partition function, clear denominators into parallel unit edges, and count
-perfect matchings either exactly (vertex-elimination with memoization) or by
-a seeded insert/delete/slide Markov chain telescoped over vertex removals.
+partition function, and count perfect matchings either exactly
+(vertex-elimination with memoization) or by a seeded insert/delete/slide
+Markov chain telescoped over vertex removals.  The chain runs on the weighted
+graph and simulates only the steps that change its state; ``integerize``
+(weights cleared into parallel unit edges) defines its law but is never built.
 
-All counts and estimates are exact rationals; randomness enters only through
-the chain, and a fixed config seed fixes the estimate.
+All counts and estimates are exact rationals; floats and randomness enter only
+through the chain's sampling law, and a fixed config seed fixes the estimate.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from .funcs import (
     XOR3,
@@ -313,17 +313,22 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
 # Exact matching counts
 
 
-def _adjacency(g: WeightedMultigraph) -> list[list[tuple[int, Fraction]]]:
+def _bundles(g: WeightedMultigraph) -> dict[tuple[int, int], Fraction]:
+    """Total weight between each pair of distinct vertices that carries any."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    acc: dict[tuple[int, int], Fraction] = {}
+    bundles: dict[tuple[int, int], Fraction] = {}
     for e in g.edges:
         a, b = index[e.u], index[e.v]
         if a == b or e.weight == 0:
             continue
         key = (a, b) if a < b else (b, a)
-        acc[key] = acc.get(key, _ZERO) + e.weight
+        bundles[key] = bundles.get(key, _ZERO) + e.weight
+    return bundles
+
+
+def _adjacency(g: WeightedMultigraph) -> list[list[tuple[int, Fraction]]]:
     adj: list[list[tuple[int, Fraction]]] = [[] for _ in g.vertices]
-    for (a, b), w in sorted(acc.items()):
+    for (a, b), w in sorted(_bundles(g).items()):
         adj[a].append((b, w))
         adj[b].append((a, w))
     return adj
@@ -369,14 +374,18 @@ def count_npm_exact(g: WeightedMultigraph, cap: int = EXACT_CAP) -> Fraction:
 # Integerization
 
 
+def _denominator_lcm(g: WeightedMultigraph) -> int:
+    """The lcm of the positive edge weights' denominators: ``integerize``'s scale d."""
+    return lcm(*(e.weight.denominator for e in g.edges if e.weight > 0))
+
+
 def integerize(g: WeightedMultigraph) -> tuple[WeightedMultigraph, int]:
     """Replace weight-w edges by d*w unit parallel edges, d the weight denominators' lcm.
 
     Perfect-matching weight scales by d**(n/2) and near-perfect by
     d**(n/2 - 1); both laws are asserted here at desk scale.
     """
-    positive = [e.weight.denominator for e in g.edges if e.weight > 0]
-    d = lcm(*positive) if positive else 1
+    d = _denominator_lcm(g)
     edges: list[Edge] = []
     for e in g.edges:
         copies = e.weight * d
@@ -398,88 +407,97 @@ def integerize(g: WeightedMultigraph) -> tuple[WeightedMultigraph, int]:
 class _Chain:
     """Insert/delete/slide walk over perfect and one-hole-pair matchings.
 
-    States are bundle-level matchings weighted by the product of bundle
-    multiplicities, with near-perfect states damped by a penalty factor; the
-    conditional distribution over perfect states is penalty-free.
+    The law is that of the unit-copy walk on ``integerize(g)``: each step
+    proposes one of W = d * (total bundle weight) unit copies uniformly.  A
+    perfect state removes the proposed copy's pair, if matched, with
+    probability penalty / (its copies); a state with holes h1, h2 inserts or
+    slides when the copy touches a hole.  Every other step changes nothing, so
+    the walk jumps straight to the next step that does, with a geometric draw
+    of the steps in between; floats enter only this sampling law.  States
+    are weighted by the product of their bundle weights, with near-perfect
+    states damped by the penalty; the law over perfect states is penalty-free.
     """
 
-    __slots__ = ("ends_a", "ends_b", "mult", "pick", "npick", "match", "holes", "rng", "remove_p")
+    __slots__ = ("nbr", "at", "total", "leave_p", "match", "holes", "rng")
 
     def __init__(
         self,
-        keys: Sequence[tuple[int, int]],
-        multiplicities: Sequence[int],
-        pick: Sequence[int],
+        bundles: dict[tuple[int, int], Fraction],
+        d: int,
         match: list[int],
         rng: random.Random,
     ) -> None:
-        self.ends_a = [k[0] for k in keys]
-        self.ends_b = [k[1] for k in keys]
-        self.mult = list(multiplicities)
-        self.pick = list(pick)
-        self.npick = len(self.pick)
+        copies = {key: int(w * d) for key, w in bundles.items()}
+        self.total = sum(copies.values())
+        # nbr[v][u]: the share of all unit copies that join v and u.
+        self.nbr: list[dict[int, float]] = [{} for _ in match]
+        for (a, b), c in copies.items():
+            self.nbr[a][b] = self.nbr[b][a] = c / self.total
+        self.at = [sum(shares.values()) for shares in self.nbr]
         self.match = match
-        self.holes = match.count(-1)
+        self.holes = tuple(v for v, m in enumerate(match) if m < 0)
         self.rng = rng
         self.set_penalty(1.0)
 
     def set_penalty(self, penalty: float) -> None:
-        self.remove_p = [penalty / m for m in self.mult]
+        self.leave_p = penalty * (len(self.match) // 2 / self.total)
 
     def advance(self, steps: int) -> None:
         rand = self.rng.random
-        pick = self.pick
-        npick = self.npick
-        ends_a = self.ends_a
-        ends_b = self.ends_b
-        remove_p = self.remove_p
+        log = math.log
+        log1p = math.log1p
         match = self.match
-        holes = self.holes
-        for _ in range(steps):
-            i = int(rand() * npick)
-            if i >= npick:
-                i = npick - 1
-            bi = pick[i]
-            a = ends_a[bi]
-            b = ends_b[bi]
-            ma = match[a]
+        nbr = self.nbr
+        at = self.at
+        n = len(match)
+        leave_p = self.leave_p
+        h1, h2 = self.holes or (-1, -1)
+        left = steps
+        while True:
+            # p: the chance that one step changes the state.
+            p = leave_p if h1 < 0 else at[h1] + at[h2] - nbr[h1].get(h2, 0.0)
+            if p >= 1.0:
+                left -= 1
+            elif p > 0.0:
+                left -= 1 + int(log(1.0 - rand()) / log1p(-p))
+            else:
+                break
+            if left < 0:
+                break
+            if h1 < 0:
+                h1 = int(rand() * n)
+                h2 = match[h1]
+                match[h1] = match[h2] = -1
+                continue
+            # Pick a copy at the holes by weight, the h1-h2 bundle once.  If
+            # float residue exhausts both lists, b is the last copy at h2.
+            r = rand() * p
+            a, other = h1, h2
+            for b, s in nbr[h1].items():
+                r -= s
+                if r < 0.0:
+                    break
+            else:
+                a, other = h2, h1
+                for b, s in nbr[h2].items():
+                    if b != h1:
+                        r -= s
+                        if r < 0.0:
+                            break
             mb = match[b]
-            if holes:
-                if ma < 0:
-                    if mb < 0:
-                        match[a] = b
-                        match[b] = a
-                        holes = 0
-                    else:
-                        match[mb] = -1
-                        match[a] = b
-                        match[b] = a
-                elif mb < 0:
-                    match[ma] = -1
-                    match[b] = a
-                    match[a] = b
-            elif ma == b and rand() < remove_p[bi]:
-                match[a] = -1
-                match[b] = -1
-                holes = 2
-        self.holes = holes
+            match[a] = b
+            match[b] = a
+            if mb < 0:
+                h1 = h2 = -1
+            else:
+                match[mb] = -1
+                h1, h2 = other, mb
+        self.holes = (h1, h2) if h1 >= 0 else ()
 
 
-def _unit_bundles(g: WeightedMultigraph) -> dict[tuple[int, int], int]:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    bundles: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        if e.weight != 1:
-            raise InstanceError("estimator input must be a unit-weight multigraph; integerize first")
-        a, b = index[e.u], index[e.v]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        bundles[key] = bundles.get(key, 0) + 1
-    return bundles
+def _maximum_matching(n: int, bundles: dict[tuple[int, int], Fraction]) -> Optional[list[int]]:
+    import networkx as nx  # only the sampled path needs it; importing it costs more than the package
 
-
-def _maximum_matching(n: int, bundles: dict[tuple[int, int], int]) -> Optional[list[int]]:
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(sorted(bundles))
@@ -493,32 +511,28 @@ def _maximum_matching(n: int, bundles: dict[tuple[int, int], int]) -> Optional[l
     return arr
 
 
-def _graph_from_bundles(names: Sequence[str], bundles: dict[tuple[int, int], int]) -> WeightedMultigraph:
-    edges = tuple(
-        Edge(names[a], names[b], Fraction(m), "plain") for (a, b), m in sorted(bundles.items())
-    )
+def _graph_from_bundles(names: Sequence[str], bundles: dict[tuple[int, int], Fraction]) -> WeightedMultigraph:
+    edges = tuple(Edge(names[a], names[b], w, "plain") for (a, b), w in sorted(bundles.items()))
     return WeightedMultigraph(tuple(names), edges)
 
 
 def _condition_level(
     names: list[str],
-    bundles: dict[tuple[int, int], int],
+    bundles: dict[tuple[int, int], Fraction],
+    d: int,
     start: list[int],
     cfg: EstimatorConfig,
     level: int,
     levels_total: int,
-) -> tuple[Fraction, list[str], dict[tuple[int, int], int], list[int]]:
+) -> tuple[Fraction, list[str], dict[tuple[int, int], Fraction], list[int]]:
     """Estimate how often perfect matchings pair vertex 0 with its likeliest partner.
 
-    Returns the telescoping factor multiplicity/q and the graph with the
-    conditioned pair removed, warm-started from a sampled witness.
+    Returns the telescoping factor weight/q and the graph with the conditioned
+    pair removed, warm-started from a sampled witness.  ``d`` is the source
+    graph's ``integerize`` scale, kept across levels so that every level runs
+    the same unit-copy law.
     """
     n = len(names)
-    bundle_keys = sorted(bundles)
-    multiplicities = [bundles[k] for k in bundle_keys]
-    pick: list[int] = []
-    for bi, m in enumerate(multiplicities):
-        pick.extend([bi] * m)
     spacing = max(1, int(cfg.steps_coeff * n * max(1.0, math.log(n))))
     eps = float(cfg.epsilon)
     confidence = max(1.0, math.log2(2.0 / float(cfg.delta)))
@@ -529,13 +543,13 @@ def _condition_level(
     perfect = 0
     for attempt in range(3):
         rng = random.Random((cfg.seed * 2654435761 + level * 65537 + attempt * 257 + 1) % (1 << 63))
-        chain = _Chain(bundle_keys, multiplicities, pick, list(start), rng)
+        chain = _Chain(bundles, d, list(start), rng)
         chain.advance(burn)
         pilot = max(100, target // 10)
         hits = 0
         for _ in range(pilot):
             chain.advance(spacing)
-            if chain.holes == 0:
+            if not chain.holes:
                 hits += 1
         beta = (hits + 1.0) / (pilot + 2.0)
         chain.set_penalty(min(1.0, max(beta / (1.0 - beta), 1e-4)))
@@ -547,7 +561,7 @@ def _condition_level(
         while perfect < target and budget > 0:
             chain.advance(spacing)
             budget -= 1
-            if chain.holes == 0:
+            if not chain.holes:
                 perfect += 1
                 x = chain.match[0]
                 counts[x] = counts.get(x, 0) + 1
@@ -558,12 +572,12 @@ def _condition_level(
     else:
         raise EstimateError(f"no perfect matchings sampled at telescoping level {level}")
     x_star = min(counts, key=lambda x: (-counts[x], -bundles[(0, x)], x))
-    factor = Fraction(bundles[(0, x_star)] * perfect, counts[x_star])
+    factor = bundles[(0, x_star)] * Fraction(perfect, counts[x_star])
     keep = [i for i in range(n) if i not in (0, x_star)]
     remap = {old: new for new, old in enumerate(keep)}
     names2 = [names[i] for i in keep]
     bundles2 = {
-        (remap[a], remap[b]): m for (a, b), m in bundles.items() if a in remap and b in remap
+        (remap[a], remap[b]): w for (a, b), w in bundles.items() if a in remap and b in remap
     }
     wit = witness[x_star]
     start2 = [-1] * len(keep)
@@ -573,14 +587,14 @@ def _condition_level(
 
 
 def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
-    """Seeded randomized perfect-matching weight for a unit-weight multigraph.
+    """Seeded randomized perfect-matching weight of a weighted multigraph.
 
     Telescopes vertex-pair removals down to ``cfg.exact_cap`` vertices, each
     level estimated by the matching chain; the remainder is counted exactly.
     Odd orders, empty graphs, and graphs without perfect matchings are
     answered exactly without sampling.
     """
-    bundles = _unit_bundles(g)
+    bundles = _bundles(g)
     names = list(g.vertices)
     n = len(names)
     if n == 0:
@@ -591,12 +605,13 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
     if start is None:
         return _ZERO
     cap = cfg.exact_cap
+    d = _denominator_lcm(g)
     levels_total = max(0, (n - cap + 1) // 2)
     result = _ONE
     level = 0
     while n > cap:
         factor, names, bundles, start = _condition_level(
-            names, bundles, start, cfg, level, levels_total
+            names, bundles, d, start, cfg, level, levels_total
         )
         result *= factor
         n = len(names)
@@ -647,6 +662,4 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
     n = len(graph.vertices)
     if n <= cfg.exact_cap:
         return scale * count_pm_exact(graph, cap=max(n, 1))
-    unit, d = integerize(graph)
-    estimate = estimate_pm(unit, cfg)
-    return scale * estimate / Fraction(d) ** (n // 2)
+    return scale * estimate_pm(graph, cfg)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,3 +241,10 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_import_leaves_networkx_unloaded():
+    """Only the sampled estimator path needs networkx, so importing the CLI does not load it."""
+    code = "import sys, spincount.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

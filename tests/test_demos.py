@@ -1,0 +1,21 @@
+"""Every demo script runs to completion."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

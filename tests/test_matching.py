@@ -11,6 +11,9 @@ from spincount.classify import TwoSpinTag, classify_two_spin
 from spincount.funcs import EQ, EQ3, XOR3, CapacityError, binary, fourier, in_cp, unary
 from spincount.instances import CspInstance, HolantInstance, InstanceError, z_exact
 from spincount.matching import (
+    _Chain,
+    _bundles,
+    _denominator_lcm,
     Edge,
     EstimatorConfig,
     WeightedMultigraph,
@@ -25,7 +28,7 @@ from spincount.matching import (
     sdp3_lift,
     serialize_graph,
 )
-from helpers import rand_binary, rand_cp_binary, rand_csp_instance
+from helpers import rand_binary, rand_cp_binary, rand_csp_instance, rand_fraction
 
 
 def graph(vertices, edges):
@@ -246,10 +249,111 @@ def test_estimate_pm_exact_below_cap():
     assert estimate_pm(g, EstimatorConfig()) == 4
 
 
-def test_estimate_pm_rejects_weighted_input():
+def test_estimate_pm_weighted_single_edge():
     g = graph("ab", [("a", "b", Fraction(1, 2))])
-    with pytest.raises(InstanceError, match="integerize"):
-        estimate_pm(g, EstimatorConfig(exact_cap=0))
+    assert estimate_pm(g, EstimatorConfig(exact_cap=0)) == Fraction(1, 2)
+
+
+def test_estimate_pm_weighted_matches_integerized():
+    """At or below the cap, the weighted estimate is the integerized one rescaled."""
+    rng = random.Random(53)
+    for _ in range(30):
+        n = 2 * rng.randint(1, 4)
+        names = [f"v{i}" for i in range(n)]
+        edges = []
+        for _ in range(rng.randint(n, 2 * n)):
+            u, w = rng.sample(names, 2)
+            edges.append(Edge(u, w, rand_fraction(rng)))
+        g = WeightedMultigraph(tuple(names), tuple(edges))
+        unit, d = integerize(g)
+        cfg = EstimatorConfig(seed=rng.randrange(100))
+        assert estimate_pm(g, cfg) == estimate_pm(unit, cfg) / Fraction(d) ** (n // 2)
+
+
+def _perfect_matchings(free):
+    if not free:
+        yield ()
+        return
+    for x in free[1:]:
+        rest = [v for v in free if v not in (free[0], x)]
+        for pm in _perfect_matchings(rest):
+            yield ((free[0], x),) + pm
+
+
+def _pairs(match):
+    return frozenset((v, m) for v, m in enumerate(match) if v < m)
+
+
+def test_chain_samples_perfect_matchings_by_weight():
+    """The chain's law on a rational K6, against exact weights.
+
+    Sampled perfect matchings are within 0.03 total variation of their weight
+    shares.  The share of time in perfect states is the unit-copy chain's on
+    ``integerize(g)``: count_pm / (count_pm + penalty * count_npm / d).
+    """
+    names = "abcdef"
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    g = graph(names, [(names[i], names[j], Fraction((i + j) % 3 + 1, 2)) for i, j in pairs])
+    bundles = _bundles(g)
+    d = _denominator_lcm(g)
+    weight = {}
+    for pm in _perfect_matchings(list(range(6))):
+        w = Fraction(1)
+        for key in pm:
+            w *= bundles[key]
+        weight[frozenset(pm)] = w
+    total = sum(weight.values())
+    penalty = Fraction(1, 2)
+    chain = _Chain(bundles, d, [1, 0, 3, 2, 5, 4], random.Random(3))
+    chain.set_penalty(float(penalty))
+    seen: dict[frozenset, int] = {}
+    observed = steps = 0
+    while observed < 10000:
+        chain.advance(100)
+        steps += 1
+        if not chain.holes:
+            pm = _pairs(chain.match)
+            seen[pm] = seen.get(pm, 0) + 1
+            observed += 1
+    tv = sum(abs(seen.get(pm, 0) / observed - float(w / total)) for pm, w in weight.items()) / 2
+    assert tv < 0.03
+    pm_share = total / (total + penalty * count_npm_exact(g) / d)
+    assert abs(observed / steps - float(pm_share)) < 0.02
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ("ab", [("a", "b", Fraction(1, 3))]),
+        ("abcd", [("a", "b", Fraction(1, 2)), ("c", "d", Fraction(1, 2))]),
+        ("abcd", [("a", "b", 1), ("b", "c", Fraction(1, 2)), ("c", "d", 2), ("d", "a", 1)]),
+        ("abcd", [(u, v, Fraction(1, 2)) for u in "abcd" for v in "abcd" if u < v]),
+        ("abcdef", [(u, v, Fraction(ord(u) % 3 + 1, 3)) for u in "abcdef" for v in "abcdef" if u < v]),
+    ],
+)
+def test_chain_state_invariants(vertices, edges):
+    """After every advance, match is an involution and the holes are its -1 entries, none or two.
+
+    The first two graphs reach a step probability of 1: at the holes of the
+    single edge, and in the perfect state of the two unit-copy edges.
+    """
+    g = graph(vertices, edges)
+    bundles = _bundles(g)
+    n = len(vertices)
+    visited = set()
+    for seed, penalty in ((0, 1.0), (1, 0.3), (2, 1e-4)):
+        chain = _Chain(bundles, _denominator_lcm(g), [v ^ 1 for v in range(n)], random.Random(seed))
+        chain.set_penalty(penalty)
+        for steps in (1, 2, 3, 7, 50) * 40:
+            chain.advance(steps)
+            match = chain.match
+            holes = [v for v in range(n) if match[v] < 0]
+            assert sorted(chain.holes) == holes
+            assert len(holes) in (0, 2)
+            assert all(match[match[v]] == v for v in range(n) if match[v] >= 0)
+            assert all(tuple(sorted((v, match[v]))) in bundles for v in range(n) if match[v] >= 0)
+            visited.add(tuple(match))
+    assert len(visited) > 1
 
 
 def test_estimate_pm_sampling_tracks_exact():
