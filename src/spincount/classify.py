@@ -32,6 +32,7 @@ from .funcs import (
     is_monotone,
     is_product_type,
     is_trivial_binary,
+    record_value,
 )
 
 __all__ = [
@@ -50,10 +51,6 @@ __all__ = [
 def _reject_signed(f: object) -> None:
     if isinstance(f, SignedTable):
         raise ValueError("signed tables cannot be classified; classifiers take PBFunction inputs")
-
-
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
 
 
 class TwoSpinTag(enum.Enum):
@@ -80,12 +77,12 @@ class TwoSpinVerdict:
     def record(self) -> list[tuple[str, str]]:
         pairs = [
             ("tag", self.tag.value),
-            ("trivial", _bool_str(self.trivial)),
-            ("lsm", _bool_str(self.lsm)),
+            ("trivial", record_value(self.trivial)),
+            ("lsm", record_value(self.lsm)),
             ("f01", str(self.f01)),
             ("f10", str(self.f10)),
-            ("monotone", _bool_str(self.monotone)),
-            ("flip_monotone", _bool_str(self.flip_monotone)),
+            ("monotone", record_value(self.monotone)),
+            ("flip_monotone", record_value(self.flip_monotone)),
         ]
         if self.note:
             pairs.append(("note", self.note))
@@ -161,9 +158,9 @@ class UpDownVerdict:
     def record(self) -> list[tuple[str, str]]:
         return [
             ("tag", self.tag.value),
-            ("bis_easy", _bool_str(self.bis_easy)),
-            ("all_product_type", _bool_str(self.all_product_type)),
-            ("all_lsm", _bool_str(self.all_lsm)),
+            ("bis_easy", record_value(self.bis_easy)),
+            ("all_product_type", record_value(self.all_product_type)),
+            ("all_lsm", record_value(self.all_lsm)),
         ]
 
 
@@ -204,8 +201,8 @@ class RelTrichotomy:
     def record(self) -> list[tuple[str, str]]:
         return [
             ("tag", self.tag.value),
-            ("all_affine", _bool_str(self.all_affine)),
-            ("all_im2", _bool_str(self.all_im2)),
+            ("all_affine", record_value(self.all_affine)),
+            ("all_im2", record_value(self.all_im2)),
         ]
 
 

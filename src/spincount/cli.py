@@ -24,7 +24,9 @@ from .funcs import (
     SignedTable,
     fourier,
     inverse_fourier,
+    parse_rational,
     property_report,
+    record_value,
 )
 from .gadgets import (
     GadgetError,
@@ -45,15 +47,6 @@ from .matching import (
     serialize_graph,
 )
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
-
-
-def _rational(token: str) -> Fraction:
-    if not _RATIONAL.fullmatch(token):
-        raise ValueError(f"bad rational literal {token!r}")
-    return Fraction(token)
-
-
 def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
     """Read `<arity> <values...>`, falling back to a bare power-of-two table."""
     tokens = text.split()
@@ -62,10 +55,10 @@ def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
     first = tokens[0]
     if first.isdigit() and int(first) <= ARITY_CAP and len(tokens) - 1 == 1 << int(first):
         arity = int(first)
-        values = [_rational(t) for t in tokens[1:]]
+        values = [parse_rational(t) for t in tokens[1:]]
     elif len(tokens) & (len(tokens) - 1) == 0:
         arity = len(tokens).bit_length() - 1
-        values = [_rational(t) for t in tokens]
+        values = [parse_rational(t) for t in tokens]
     else:
         raise ValueError(
             f"cannot read function literal {text!r}: want `<arity> <values...>` "
@@ -143,7 +136,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         record = [
             ("up", _table_str(pair.up.table)),
             ("down", _table_str(pair.down.table)),
-            ("swapped", "true" if pair.swapped else "false"),
+            ("swapped", record_value(pair.swapped)),
             ("up_formula", serialize_pps(pair.up_formula)),
             ("down_formula", serialize_pps(pair.down_formula)),
         ]
@@ -169,7 +162,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         if args.eps is None:
             raise ValueError("pin needs --eps")
         normalized, scale = normalize_unary(f, args.direction)
-        pinned, power = approx_pin(normalized, _rational(args.eps))
+        pinned, power = approx_pin(normalized, parse_rational(args.eps))
         record = [
             ("table", _table_str(pinned.table)),
             ("power", str(power)),
@@ -216,7 +209,7 @@ def _cmd_z_estimate(args: argparse.Namespace) -> int:
     if isinstance(f, SignedTable):
         raise InstanceError("estimator needs a nonnegative function")
     cfg = EstimatorConfig(
-        epsilon=_rational(args.epsilon), seed=args.seed, exact_cap=args.exact_cap
+        epsilon=parse_rational(args.epsilon), seed=args.seed, exact_cap=args.exact_cap
     )
     z = estimate_z_fpras(f, inst, cfg)
     if args.machine:
@@ -233,7 +226,7 @@ def _cmd_holant_check(args: argparse.Namespace) -> int:
         holant = True
     except InstanceError:
         holant = False
-    _emit([("holant", "true" if holant else "false")], args.machine)
+    _emit([("holant", record_value(holant))], args.machine)
     return 0
 
 

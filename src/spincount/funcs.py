@@ -9,14 +9,19 @@ with a = f(0,0), b = f(0,1), c = f(1,0), d = f(1,1).
 Signed tables (Fourier coefficients, holographic images) use the same
 layout but may hold negative entries.  All arithmetic is exact; floats
 are rejected at the door.
+
+Every sum of products is evaluated by ``_sum_product``, the one place where
+evaluation reads the table layout: the clone operations below,
+``instances.z_exact`` and ``gadgets.eval_pps``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iterproduct
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 ARITY_CAP = 16
@@ -39,6 +44,16 @@ def frac(value: Rational) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
+
+
+_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+
+
+def parse_rational(token: str) -> Fraction:
+    """Read an integer or p/q literal; anything else raises ValueError."""
+    if not _RATIONAL.fullmatch(token):
+        raise ValueError(f"bad rational literal {token!r}")
+    return Fraction(token)
 
 
 def index_of(bits: Sequence[int]) -> int:
@@ -173,6 +188,44 @@ def inverse_fourier(F: SignedTable) -> SignedTable:
 
 
 # ---------------------------------------------------------------------------
+# Sums of products
+
+
+def _sum_product(
+    n_free: int, n_vars: int, atoms: Iterable[tuple[Sequence[Fraction], Sequence[int]]]
+) -> tuple[Fraction, ...]:
+    """Table over variables 0..n_free-1 of the atoms' product summed over the rest.
+
+    Each atom is a (table, scope) pair over variables 0..n_vars-1, variable 0
+    the most significant bit.  Every table is scaled to integers by the lcm
+    of its denominators, so the inner loop multiplies ints and stops at the
+    first zero; each output entry becomes one Fraction.
+    """
+    n_bound = n_vars - n_free
+    compiled: list[tuple[tuple[int, ...], list[int]]] = []
+    denominator = 1
+    for table, scope in atoms:
+        scale = lcm(*(v.denominator for v in table))
+        denominator *= scale
+        compiled.append((tuple(n_vars - 1 - v for v in scope), [int(v * scale) for v in table]))
+    out = []
+    for free in range(1 << n_free):
+        total = 0
+        for mask in range(free << n_bound, (free + 1) << n_bound):
+            prod = 1
+            for positions, int_table in compiled:
+                idx = 0
+                for p in positions:
+                    idx = (idx << 1) | ((mask >> p) & 1)
+                prod *= int_table[idx]
+                if not prod:
+                    break
+            total += prod
+        out.append(Fraction(total, denominator))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Clone operations
 
 
@@ -186,11 +239,7 @@ def permute(f: PBFunction, perm: Sequence[int]) -> PBFunction:
     k = f.arity
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm must be a permutation of range({k}), got {perm!r}")
-    out = [Fraction(0)] * (1 << k)
-    for idx in range(1 << k):
-        x = bits_of(idx, k)
-        out[idx] = f.table[index_of(tuple(x[perm[j]] for j in range(k)))]
-    return PBFunction(k, tuple(out))
+    return PBFunction(k, _sum_product(k, k, [(f.table, perm)]))
 
 
 def product(f: PBFunction, g: PBFunction) -> PBFunction:
@@ -204,13 +253,9 @@ def sum_out(f: PBFunction, i: int) -> PBFunction:
     k = f.arity
     if not 0 <= i < k:
         raise ValueError(f"coordinate {i} out of range for arity {k}")
-    out = []
-    for idx in range(1 << (k - 1)):
-        x = bits_of(idx, k - 1)
-        lo = x[:i] + (0,) + x[i:]
-        hi = x[:i] + (1,) + x[i:]
-        out.append(f.table[index_of(lo)] + f.table[index_of(hi)])
-    return PBFunction(k - 1, tuple(out))
+    scope = [j - (j > i) for j in range(k)]
+    scope[i] = k - 1
+    return PBFunction(k - 1, _sum_product(k - 1, k, [(f.table, scope)]))
 
 
 def add_fictitious(f: PBFunction, i: Optional[int] = None) -> PBFunction:
@@ -219,11 +264,8 @@ def add_fictitious(f: PBFunction, i: Optional[int] = None) -> PBFunction:
     pos = k if i is None else i
     if not 0 <= pos <= k:
         raise ValueError(f"position {pos} out of range for arity {k}")
-    out = []
-    for idx in range(1 << (k + 1)):
-        x = bits_of(idx, k + 1)
-        out.append(f.table[index_of(x[:pos] + x[pos + 1 :])])
-    return PBFunction(k + 1, tuple(out))
+    scope = [j for j in range(k + 1) if j != pos]
+    return PBFunction(k + 1, _sum_product(k + 1, k + 1, [(f.table, scope)]))
 
 
 def pin(f: PBFunction, i: int, b: int) -> PBFunction:
@@ -233,11 +275,10 @@ def pin(f: PBFunction, i: int, b: int) -> PBFunction:
         raise ValueError(f"coordinate {i} out of range for arity {k}")
     if b not in (0, 1):
         raise ValueError(f"pin value must be 0 or 1, got {b!r}")
-    out = []
-    for idx in range(1 << (k - 1)):
-        x = bits_of(idx, k - 1)
-        out.append(f.table[index_of(x[:i] + (b,) + x[i:])])
-    return PBFunction(k - 1, tuple(out))
+    scope = [j - (j > i) for j in range(k)]
+    scope[i] = k - 1
+    delta = (DELTA1 if b else DELTA0).table
+    return PBFunction(k - 1, _sum_product(k - 1, k, [(delta, (k - 1,)), (f.table, scope)]))
 
 
 def _normalize_partition(arity: int, partition: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -251,16 +292,12 @@ def _normalize_partition(arity: int, partition: Iterable[Iterable[int]]) -> tupl
 def identify(f: PBFunction, partition: Iterable[Iterable[int]]) -> PBFunction:
     """Merge coordinates within each block; blocks are ordered by least member."""
     blocks = _normalize_partition(f.arity, partition)
+    scope = [0] * f.arity
+    for j, block in enumerate(blocks):
+        for c in block:
+            scope[c] = j
     m = len(blocks)
-    out = []
-    for idx in range(1 << m):
-        y = bits_of(idx, m)
-        x = [0] * f.arity
-        for j, block in enumerate(blocks):
-            for c in block:
-                x[c] = y[j]
-        out.append(f.table[index_of(x)])
-    return PBFunction(m, tuple(out))
+    return PBFunction(m, _sum_product(m, m, [(f.table, scope)]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +472,15 @@ def is_decreasing_permissive_unary(f: PBFunction) -> bool:
     return f.arity == 1 and f.table[0] > f.table[1] > 0
 
 
+def record_value(value: object) -> str:
+    """A value as machine records spell it: true, false, none, or its str."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     arity: int
@@ -456,22 +502,14 @@ class PropertyReport:
 
     def record(self) -> list[tuple[str, str]]:
         """Stable key=value pairs for the CLI's machine output."""
-
-        def fmt(v: object) -> str:
-            if v is None:
-                return "none"
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            return str(v)
-
         keys = (
             "arity permissive pure pure_value lsm log_modular monotone "
             "monotone_on_support support_join_closed affine_support in_cp in_sdp3"
         ).split()
-        pairs = [(k, fmt(getattr(self, k))) for k in keys]
+        pairs = [(k, record_value(getattr(self, k))) for k in keys]
         if self.arity == 2:
             for k in ("trivial", "ferromagnetic", "ising", "symmetric"):
-                pairs.append((k, fmt(getattr(self, k))))
+                pairs.append((k, record_value(getattr(self, k))))
         return pairs
 
 
@@ -683,8 +721,3 @@ def product_form(f: PBFunction) -> Optional[ProductForm]:
 
 def is_product_type(f: PBFunction) -> bool:
     return product_form(f) is not None
-
-
-def all_bits(arity: int) -> Iterable[tuple[int, ...]]:
-    """All assignments in table-index order."""
-    return _iterproduct((0, 1), repeat=arity)

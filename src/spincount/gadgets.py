@@ -25,11 +25,11 @@ from .funcs import (
     CapacityError,
     PBFunction,
     PropertyReport,
+    _sum_product,
     bits_of,
     bit_flip,
     fourier,
     frac,
-    index_of,
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,
     is_lsm,
@@ -81,20 +81,7 @@ def eval_pps(formula: PpsFormula, registry: Mapping[str, PBFunction]) -> PBFunct
         if fn.arity != len(scope):
             raise ValueError(f"atom {name} has arity {fn.arity} but scope {scope}")
         atoms.append((fn.table, scope))
-    out = []
-    for free_idx in range(1 << nf):
-        free_bits = bits_of(free_idx, nf)
-        total = Fraction(0)
-        for bound_idx in range(1 << nb):
-            bits = free_bits + bits_of(bound_idx, nb)
-            value = Fraction(1)
-            for table, scope in atoms:
-                value *= table[index_of(tuple(bits[v] for v in scope))]
-                if value == 0:
-                    break
-            total += value
-        out.append(total)
-    return PBFunction(nf, tuple(out))
+    return PBFunction(nf, _sum_product(nf, nf + nb, atoms))
 
 
 def serialize_pps(formula: PpsFormula) -> str:
@@ -301,29 +288,34 @@ class NonLsmBinary:
     registry: Mapping[str, PBFunction]
 
 
-def _lsm_violation_pair(f: PBFunction) -> Optional[tuple[int, int]]:
-    t = f.table
-    n = len(t)
+def _first_pair(f: PBFunction, accept) -> Optional[tuple[int, int]]:
+    """Lexicographically least index pair (a, b) accepted by the predicate."""
+    n = len(f.table)
     for a in range(n):
         for b in range(n):
-            if t[a] * t[b] > t[a | b] * t[a & b]:
+            if accept(a, b):
                 return a, b
     return None
 
 
-def _pin_identify_formula(name: str, f: PBFunction, a: tuple[int, ...], b: tuple[int, ...]) -> PpsFormula:
-    """h(x, y): coordinates with (a=0, b=1) read x, (a=1, b=0) read y, agreements pinned."""
-    builder = _Builder(2)
+def _pin_identify_formula(
+    name: str, f: PBFunction, a: tuple[int, ...], b: tuple[int, ...], n_free: int
+) -> PpsFormula:
+    """h over n_free variables: coordinates where a and b differ read variable a[i].
+
+    Coordinates where a and b agree are pinned.  With two free variables,
+    (a=0, b=1) reads x and (a=1, b=0) reads y; with one and a <= b, every
+    differing coordinate reads x.
+    """
+    builder = _Builder(n_free)
     scope = []
     for i in range(f.arity):
         if a[i] == b[i]:
             v = builder.fresh_bound()
             builder.add_atom(f"delta{a[i]}", (v,))
             scope.append(v)
-        elif a[i] == 0:
-            scope.append(0)
         else:
-            scope.append(1)
+            scope.append(a[i])
     builder.add_atom(name, tuple(scope))
     return builder.build()
 
@@ -339,12 +331,13 @@ def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
         raise GadgetError(f"g must be binary, got arity {g.arity}")
     if is_trivial_binary(g):
         raise GadgetError("g must be nontrivial")
-    witness = _lsm_violation_pair(f)
+    t = f.table
+    witness = _first_pair(f, lambda a, b: t[a] * t[b] > t[a | b] * t[a & b])
     if witness is None:
         raise GadgetError("f is log-supermodular; no violating pair exists")
     a, b = bits_of(witness[0], f.arity), bits_of(witness[1], f.arity)
     registry = {"f": f, "g": g, "delta0": DELTA0, "delta1": DELTA1}
-    f_prime_formula = _pin_identify_formula("f", f, a, b)
+    f_prime_formula = _pin_identify_formula("f", f, a, b, 2)
     f_prime = eval_pps(f_prime_formula, registry)
     if f_prime.table[0] != 0 or f_prime.table[3] != 0:
         result, route, formula = f_prime, "from_f", f_prime_formula
@@ -491,52 +484,20 @@ class PinningVerdict:
                     raise GadgetError(f"AllPure verdict but {f.table} is not pure")
 
 
-def _first_pair(f: PBFunction, accept) -> Optional[tuple[int, int]]:
-    """Lexicographically least index pair (a, b) accepted by the predicate."""
-    n = len(f.table)
-    for a in range(n):
-        for b in range(n):
-            if accept(a, b):
-                return a, b
-    return None
-
-
-def _unary_sum_formula(name: str, f: PBFunction, a_idx: int, b_idx: int) -> PpsFormula:
-    """u(x) = f at the pair's lower point for x=0 and upper point for x=1."""
-    a, b = bits_of(a_idx, f.arity), bits_of(b_idx, f.arity)
-    builder = _Builder(1)
-    scope = []
-    for i in range(f.arity):
-        if a[i] == b[i]:
-            v = builder.fresh_bound()
-            builder.add_atom(f"delta{a[i]}", (v,))
-            scope.append(v)
-        else:
-            scope.append(0)
-    builder.add_atom(name, tuple(scope))
-    return builder.build()
-
-
-def _decreasing_from_mos_violation(
-    name: str, f: PBFunction
+def _unary_on_chain(
+    name: str, f: PBFunction, accept
 ) -> Optional[tuple[PBFunction, PpsFormula]]:
+    """The unary (f(a), f(b)) at the least pair a <= b with accept(f(a), f(b)), or None.
+
+    0 < f(a) < f(b) is found iff flip(f) is not monotone on its support, and
+    f(a) > f(b) > 0 iff f is not.
+    """
     t = f.table
-    pair = _first_pair(f, lambda a, b: (a & b) == a and t[a] > t[b] > 0)
+    pair = _first_pair(f, lambda a, b: (a & b) == a and accept(t[a], t[b]))
     if pair is None:
         return None
-    formula = _unary_sum_formula(name, f, pair[0], pair[1])
-    return PBFunction(1, (t[pair[0]], t[pair[1]])), formula
-
-
-def _increasing_from_flip_violation(
-    name: str, f: PBFunction
-) -> Optional[tuple[PBFunction, PpsFormula]]:
-    """An increasing pair c <= d with 0 < f(c) < f(d); exists iff flip(f) is not mos."""
-    t = f.table
-    pair = _first_pair(f, lambda c, d: (c & d) == c and 0 < t[c] < t[d])
-    if pair is None:
-        return None
-    formula = _unary_sum_formula(name, f, pair[0], pair[1])
+    a, b = bits_of(pair[0], f.arity), bits_of(pair[1], f.arity)
+    formula = _pin_identify_formula(name, f, a, b, 1)
     return PBFunction(1, (t[pair[0]], t[pair[1]])), formula
 
 
@@ -552,7 +513,7 @@ def _case2(
     up_built = next(
         built
         for i, f in enumerate(family)
-        if (built := _increasing_from_flip_violation(f"f{i}", f)) is not None
+        if (built := _unary_on_chain(f"f{i}", f, lambda lo, hi: 0 < lo < hi)) is not None
     )
     up, up_formula = up_built
     gi, g = next((i, f) for i, f in enumerate(family) if not is_support_join_closed(f))
@@ -560,7 +521,7 @@ def _case2(
     pair = _first_pair(g, lambda a, b: t[a] != 0 and t[b] != 0 and t[a | b] == 0)
     assert pair is not None
     a, b = bits_of(pair[0], g.arity), bits_of(pair[1], g.arity)
-    h_formula = _pin_identify_formula(f"f{gi}", g, a, b)
+    h_formula = _pin_identify_formula(f"f{gi}", g, a, b, 2)
     h = eval_pps(h_formula, registry)
     if h.table[1] == 0 or h.table[2] == 0 or h.table[3] != 0:
         raise GadgetError(f"join-gap gadget has unexpected shape {h.table}")
@@ -587,9 +548,9 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     mos_flip = [is_monotone_on_support(bit_flip(f)) for f in family]
     if not all(mos) and not all(mos_flip):
         fi = mos.index(False)
-        built_down = _decreasing_from_mos_violation(f"f{fi}", family[fi])
+        built_down = _unary_on_chain(f"f{fi}", family[fi], lambda lo, hi: lo > hi > 0)
         gi = mos_flip.index(False)
-        built_up = _increasing_from_flip_violation(f"f{gi}", family[gi])
+        built_up = _unary_on_chain(f"f{gi}", family[gi], lambda lo, hi: 0 < lo < hi)
         assert built_down is not None and built_up is not None
         down, down_formula = built_down
         up, up_formula = built_up
@@ -642,7 +603,7 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     pair = _first_pair(g, lambda a, b: 0 < t[a] < t[b])
     assert pair is not None
     a, b = bits_of(pair[0], g.arity), bits_of(pair[1], g.arity)
-    h_formula = _pin_identify_formula(f"f{gi}", g, a, b)
+    h_formula = _pin_identify_formula(f"f{gi}", g, a, b, 2)
     h = eval_pps(h_formula, registry)
     if h.table[0] != 0 or h.table[3] != 0 or not 0 < h.table[1] < h.table[2]:
         raise GadgetError(f"pure-gap gadget has unexpected shape {h.table}")

@@ -15,19 +15,16 @@ Variables are declared implicitly on first use.  Negative values in a ``fun``
 line produce a signed table; signed registries are accepted only by
 ``z_exact`` and ``holographic_transform``.
 
-Brute-force evaluators take an optional cap on the variable count; the
-environment variable SPINCOUNT_BRUTE_CAP overrides the defaults (24 for
-``z_exact``, 12 for ``near_assignment_total``).
+Brute-force evaluators take an optional cap on the variable count (default
+24 for ``z_exact``, 12 for ``near_assignment_total``).
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 from .funcs import (
     EQ3,
@@ -35,11 +32,12 @@ from .funcs import (
     CapacityError,
     PBFunction,
     SignedTable,
+    _sum_product,
+    parse_rational,
     product_form,
 )
 
 __all__ = [
-    "BRUTE_CAP_ENV",
     "Z_EXACT_CAP",
     "NEAR_CAP",
     "InstanceError",
@@ -58,7 +56,6 @@ __all__ = [
 
 Table = Union[PBFunction, SignedTable]
 
-BRUTE_CAP_ENV = "SPINCOUNT_BRUTE_CAP"
 Z_EXACT_CAP = 24
 NEAR_CAP = 12
 # Conversion certificates are brute-force checked only below this size.
@@ -73,18 +70,6 @@ class InstanceError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-def _resolve_cap(explicit: Optional[int], default: int) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InstanceError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}")
 
 
 _NAME_OK = re.compile(r"^\S+$")
@@ -217,13 +202,11 @@ def _as_csp(inst: Instance) -> CspInstance:
 # Text format
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
 def _parse_value(token: str, line: int) -> Fraction:
-    if not _RATIONAL.match(token):
-        raise InstanceError(f"malformed rational {token!r}", line)
-    return Fraction(token)
+    try:
+        return parse_rational(token)
+    except ValueError:
+        raise InstanceError(f"malformed rational {token!r}", line) from None
 
 
 def parse(text: str) -> CspInstance:
@@ -305,33 +288,14 @@ def serialize(inst: Instance) -> str:
 def z_exact(inst: Instance, cap: Optional[int] = None) -> Fraction:
     """Brute-force partition function; exact, signed registries allowed."""
     csp = _as_csp(inst)
-    limit = _resolve_cap(cap, Z_EXACT_CAP)
+    limit = Z_EXACT_CAP if cap is None else cap
     n = len(csp.variables)
     if n > limit:
         raise CapacityError(f"{n} variables exceeds the brute-force cap {limit}")
-    position = {v: n - 1 - i for i, v in enumerate(csp.variables)}
+    index = {v: i for i, v in enumerate(csp.variables)}
     names = csp.registry_map()
-    compiled: list[tuple[tuple[int, ...], list[int]]] = []
-    denominator = 1
-    for scope, name in csp.constraints:
-        fn = names[name]
-        scale = lcm(*(v.denominator for v in fn.table))
-        denominator *= scale
-        int_table = [int(v * scale) for v in fn.table]
-        positions = tuple(position[v] for v in scope)
-        compiled.append((positions, int_table))
-    total = 0
-    for mask in range(1 << n):
-        prod = 1
-        for positions, int_table in compiled:
-            idx = 0
-            for p in positions:
-                idx = (idx << 1) | ((mask >> p) & 1)
-            prod *= int_table[idx]
-            if not prod:
-                break
-        total += prod
-    return Fraction(total, denominator)
+    atoms = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
+    return _sum_product(0, n, atoms)[0]
 
 
 class _ParityUnion:
@@ -446,13 +410,18 @@ def _fresh_prefix(base: str, taken: set[str], tag: str = "eq") -> str:
     return prefix
 
 
-def _fresh_fn_name(base: str, registry: Mapping[str, Table], table: PBFunction) -> str:
-    if base not in registry or registry[base] == table:
+def _fresh_name(base: str, taken: Container[str]) -> str:
+    """base, or base.<i> with the least i >= 2 that is not taken."""
+    if base not in taken:
         return base
     i = 2
-    while f"{base}.{i}" in registry:
+    while f"{base}.{i}" in taken:
         i += 1
     return f"{base}.{i}"
+
+
+def _fresh_fn_name(base: str, registry: Mapping[str, Table], table: PBFunction) -> str:
+    return base if registry.get(base) == table else _fresh_name(base, registry)
 
 
 @dataclass(frozen=True)
@@ -526,7 +495,7 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
 
 
 def _certify(csp: CspInstance, holant: HolantInstance, cap: Optional[int]) -> HolantConversion:
-    limit = min(_resolve_cap(cap, Z_EXACT_CAP), _CERT_CAP)
+    limit = min(Z_EXACT_CAP if cap is None else cap, _CERT_CAP)
     if len(csp.variables) <= limit and len(holant.variables) <= limit:
         z_src = z_exact(csp, limit)
         z_hol = z_exact(holant.csp, limit)
@@ -587,7 +556,7 @@ def near_assignment_total(inst: HolantInstance, cap: Optional[int] = None) -> Fr
     if inst.has_signed():
         raise InstanceError("signed registries have no near-assignment total")
     csp = inst.csp
-    limit = _resolve_cap(cap, NEAR_CAP)
+    limit = NEAR_CAP if cap is None else cap
     n = len(csp.variables)
     if n > limit:
         raise CapacityError(f"{n} variables exceeds the near-assignment cap {limit}")

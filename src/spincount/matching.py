@@ -41,6 +41,7 @@ from .instances import (
     Instance,
     InstanceError,
     _as_csp,
+    _fresh_name,
     to_holant,
 )
 
@@ -66,6 +67,10 @@ __all__ = [
 
 EDGE_LABELS = ("within_triangle", "between_triangles", "plain")
 EXACT_CAP = 30
+# Chain steps between retained samples are about _STEPS_COEFF * n * ln n;
+# _SAMPLE_COEFF scales the perfect samples kept per telescoping level.
+_STEPS_COEFF = 2
+_SAMPLE_COEFF = 2
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,20 +123,16 @@ def serialize_graph(g: WeightedMultigraph) -> str:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Accuracy target, failure budget, seed, and chain schedule knobs.
+    """Accuracy target, failure budget, seed, and exact-counting size.
 
     ``exact_cap`` is both the pipeline's crossover to exact counting and the
-    telescoping base size.  ``steps_coeff`` scales the chain steps between
-    retained samples (about coeff * n * ln n); ``sample_coeff`` scales the
-    number of perfect samples kept per telescoping level.
+    telescoping base size.
     """
 
     epsilon: Fraction = Fraction(1, 10)
     delta: Fraction = Fraction(1, 4)
     seed: int = 0
     exact_cap: int = EXACT_CAP
-    steps_coeff: int = 2
-    sample_coeff: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", frac(self.epsilon))
@@ -140,7 +141,7 @@ class EstimatorConfig:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie strictly between 0 and 1")
-        if self.exact_cap < 0 or self.steps_coeff < 1 or self.sample_coeff < 1:
+        if self.exact_cap < 0:
             raise ValueError("bad schedule parameters")
 
 
@@ -169,15 +170,6 @@ def sdp3_lift(f: PBFunction) -> PBFunction:
         x, y, z = bits_of(i, 3)
         assert lh[i] == fh[(x << 1) | y] * XOR3.table[i]
     return lifted
-
-
-def _fresh_name(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}.{i}" in taken:
-        i += 1
-    return f"{base}.{i}"
 
 
 def lift_instance(inst: Instance) -> CspInstance:
@@ -533,10 +525,10 @@ def _condition_level(
     the same unit-copy law.
     """
     n = len(names)
-    spacing = max(1, int(cfg.steps_coeff * n * max(1.0, math.log(n))))
+    spacing = max(1, int(_STEPS_COEFF * n * max(1.0, math.log(n))))
     eps = float(cfg.epsilon)
     confidence = max(1.0, math.log2(2.0 / float(cfg.delta)))
-    target = math.ceil(cfg.sample_coeff * (levels_total + 1) * confidence / (eps * eps))
+    target = math.ceil(_SAMPLE_COEFF * (levels_total + 1) * confidence / (eps * eps))
     burn = 10 * spacing
     counts: dict[int, int] = {}
     witness: dict[int, list[int]] = {}

@@ -9,7 +9,6 @@ import pytest
 
 from spincount.funcs import EQ, EQ3, IMP, NEQ, XOR3, CapacityError, binary, unary
 from spincount.instances import (
-    BRUTE_CAP_ENV,
     CspInstance,
     HolantInstance,
     InstanceError,
@@ -106,20 +105,14 @@ def test_z_exact_counts_free_variables():
     assert z_exact(inst) == 4
 
 
-def test_z_exact_cap_and_env(monkeypatch):
+def test_z_exact_cap():
     big = CspInstance.build({"e": EQ}, [((f"v{i}", f"v{i + 1}"), "e") for i in range(25)])
     with pytest.raises(CapacityError):
         z_exact(big)
     chain = CspInstance.build({"e": EQ}, [((f"v{i}", f"v{i + 1}"), "e") for i in range(3)])
-    monkeypatch.setenv(BRUTE_CAP_ENV, "3")
     with pytest.raises(CapacityError):
-        z_exact(chain)
-    monkeypatch.setenv(BRUTE_CAP_ENV, "4")
-    assert z_exact(chain) == 2
+        z_exact(chain, cap=3)
     assert z_exact(chain, cap=4) == 2
-    monkeypatch.setenv(BRUTE_CAP_ENV, "not-a-number")
-    with pytest.raises(InstanceError):
-        z_exact(chain)
 
 
 def test_z_exact_handles_signed_registries():

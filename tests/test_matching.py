@@ -388,7 +388,7 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError, match="delta"):
         EstimatorConfig(delta=1)
     with pytest.raises(ValueError, match="schedule"):
-        EstimatorConfig(steps_coeff=0)
+        EstimatorConfig(exact_cap=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,125 @@
+"""The sum-of-products kernel and the clone operations built on it, against direct sums."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from helpers import rand_function
+from spincount.funcs import (
+    _sum_product,
+    add_fictitious,
+    identify,
+    permute,
+    pin,
+    sum_out,
+)
+
+
+def _assignments(n: int):
+    """Every assignment of n bits in table order, the first bit most significant."""
+    return product((0, 1), repeat=n)
+
+
+def _direct_sum_product(n_free, n_vars, atoms):
+    out = []
+    for free in _assignments(n_free):
+        total = Fraction(0)
+        for bound in _assignments(n_vars - n_free):
+            x = free + bound
+            value = Fraction(1)
+            for table, scope in atoms:
+                value *= table[int("".join(str(x[v]) for v in scope) or "0", 2)]
+            total += value
+        out.append(total)
+    return tuple(out)
+
+
+def _rand_atom(rng: random.Random, n_vars: int):
+    arity = rng.randint(0, min(3, n_vars)) if n_vars else 0
+    table = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(1 << arity))
+    return table, tuple(rng.randrange(n_vars) for _ in range(arity))
+
+
+def test_sum_product_matches_direct_sum():
+    rng = random.Random(20240611)
+    for _ in range(300):
+        n_vars = rng.randint(0, 6)
+        n_free = rng.choice([0, n_vars, rng.randint(0, n_vars)])
+        atoms = [_rand_atom(rng, n_vars) for _ in range(rng.randint(0, 4))]
+        got = _sum_product(n_free, n_vars, atoms)
+        assert len(got) == 1 << n_free
+        assert all(isinstance(v, Fraction) for v in got)
+        assert got == _direct_sum_product(n_free, n_vars, atoms), (n_free, n_vars, atoms)
+
+
+def test_sum_product_covers_repeats_unused_and_nullary_atoms():
+    half = (Fraction(1, 2), Fraction(-3))
+    # One atom reads x0 twice, x1 is unused, and a nullary atom contributes 2.
+    atoms = [((Fraction(5), Fraction(7), Fraction(11), Fraction(13)), (0, 0)), ((Fraction(2),), ())]
+    assert _sum_product(1, 2, atoms) == (Fraction(20), Fraction(52))
+    assert _sum_product(0, 2, atoms) == (Fraction(72),)
+    assert _sum_product(0, 1, [(half, (0,)), (half, (0,))]) == (Fraction(1, 4) + 9,)
+    assert _sum_product(0, 0, []) == (Fraction(1),)
+    assert _sum_product(0, 3, []) == (Fraction(8),)
+
+
+def _functions(seed: int, count: int = 40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, rand_function(rng, rng.randint(1, 5))
+
+
+def test_pin_at_every_position_is_pointwise():
+    for _, f in _functions(1):
+        k = f.arity
+        for i in range(k):
+            for b in (0, 1):
+                want = tuple(f(y[:i] + (b,) + y[i:]) for y in _assignments(k - 1))
+                assert pin(f, i, b).table == want
+
+
+def test_sum_out_at_every_position_is_pointwise():
+    for _, f in _functions(2):
+        k = f.arity
+        for i in range(k):
+            want = tuple(
+                f(y[:i] + (0,) + y[i:]) + f(y[:i] + (1,) + y[i:]) for y in _assignments(k - 1)
+            )
+            assert sum_out(f, i).table == want
+
+
+def test_add_fictitious_at_every_position_is_pointwise():
+    for _, f in _functions(3):
+        k = f.arity
+        for i in range(k + 1):
+            want = tuple(f(x[:i] + x[i + 1 :]) for x in _assignments(k + 1))
+            assert add_fictitious(f, i).table == want
+        assert add_fictitious(f).table == add_fictitious(f, k).table
+
+
+def test_identify_random_partitions_is_pointwise():
+    for rng, f in _functions(4):
+        k = f.arity
+        labels = [rng.randrange(k) for _ in range(k)]
+        blocks = [[c for c in range(k) if labels[c] == lab] for lab in set(labels)]
+        rng.shuffle(blocks)
+        ordered = sorted(blocks, key=min)
+        want = []
+        for y in _assignments(len(ordered)):
+            x = [0] * k
+            for j, block in enumerate(ordered):
+                for c in block:
+                    x[c] = y[j]
+            want.append(f(x))
+        assert identify(f, blocks).table == tuple(want)
+
+
+def test_permute_random_permutations_is_pointwise():
+    for rng, f in _functions(5):
+        k = f.arity
+        perm = list(range(k))
+        rng.shuffle(perm)
+        want = tuple(f(tuple(x[perm[j]] for j in range(k))) for x in _assignments(k))
+        assert permute(f, perm).table == want
