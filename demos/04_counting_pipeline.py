@@ -8,6 +8,7 @@ from spincount import (
     binary,
     build_triangle_graph,
     count_pm_exact,
+    estimate_pm,
     estimate_z_fpras,
     holant_fourier_form,
     lift_instance,
@@ -43,16 +44,16 @@ graph = build_triangle_graph(form.holant)
 print("graph size:", len(graph.vertices), "vertices,", len(graph.edges), "edges")
 print("kappa * pm / 2:", form.kappa * count_pm_exact(graph) / 2)
 
-# The pipeline does all of the above in one call.  Small graphs are counted
-# exactly; large ones go through the matching chain.
+# The pipeline call answers instances of small elimination width exactly by
+# variable elimination; wider ones go through the steps above and the chain.
 f = binary(2, 1, 1, 2)
 print("pipeline:", estimate_z_fpras(f, inst, EstimatorConfig()))
 
-# Forcing the sampling path: lower the exact-counting crossover and the
-# estimate is randomized but seeded, hence reproducible.
+# The matching chain on this graph: telescope down to 6 vertices and the
+# count is randomized but seeded, hence reproducible.
 cfg = EstimatorConfig(epsilon=Fraction(1, 10), seed=11, exact_cap=6)
-print("sampled: ", estimate_z_fpras(f, inst, cfg))
-print("again:   ", estimate_z_fpras(f, inst, cfg))
+print("sampled: ", form.kappa * estimate_pm(graph, cfg) / 2)
+print("again:   ", form.kappa * estimate_pm(graph, cfg) / 2)
 
 # A bigger random-looking instance, still exact through the pipeline.
 big = CspInstance.build(

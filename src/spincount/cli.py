@@ -283,11 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cap", type=int, help="variable-count cap override")
 
-    p = add("z-estimate", "randomized partition-function estimate", _cmd_z_estimate)
+    p = add("z-estimate", "partition-function estimate, exact below the width cap", _cmd_z_estimate)
     p.add_argument("file")
     p.add_argument("--epsilon", default="1/10", help="accuracy target, a rational")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=EXACT_CAP, help="exact-counting crossover size")
+    p.add_argument("--exact-cap", type=int, default=EXACT_CAP, help="chain's telescoping base size")
 
     p = add("holant-check", "report whether every variable occurs exactly twice", _cmd_holant_check)
     p.add_argument("file")

@@ -16,11 +16,13 @@ line produce a signed table; signed registries are accepted only by
 ``z_exact`` and ``holographic_transform``.
 
 Brute-force evaluators take an optional cap on the variable count (default
-24 for ``z_exact``, 12 for ``near_assignment_total``).
+24 for ``z_exact``, 12 for ``near_assignment_total``).  ``z_eliminate`` is
+exact at any size whose elimination width is at most ``WIDTH_CAP``.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +41,7 @@ from .funcs import (
 
 __all__ = [
     "Z_EXACT_CAP",
+    "WIDTH_CAP",
     "NEAR_CAP",
     "InstanceError",
     "Table",
@@ -47,6 +50,7 @@ __all__ = [
     "parse",
     "serialize",
     "z_exact",
+    "z_eliminate",
     "z_product_type",
     "HolantConversion",
     "to_holant",
@@ -57,6 +61,9 @@ __all__ = [
 Table = Union[PBFunction, SignedTable]
 
 Z_EXACT_CAP = 24
+# z_eliminate's bound on the elimination width: one elimination at the cap
+# sums a table of 2**(WIDTH_CAP + 1) entries.
+WIDTH_CAP = 12
 NEAR_CAP = 12
 # Conversion certificates are brute-force checked only below this size.
 _CERT_CAP = 12
@@ -296,6 +303,107 @@ def z_exact(inst: Instance, cap: Optional[int] = None) -> Fraction:
     names = csp.registry_map()
     atoms = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
     return _sum_product(0, n, atoms)[0]
+
+
+def _min_fill_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> tuple[list[int], int]:
+    """Greedy min-fill elimination order of the primal graph, and its width.
+
+    The primal graph joins every two distinct variables that share a scope.
+    Each step eliminates the variable whose neighbours miss the fewest edges
+    among themselves (ties: fewer neighbours, then lower index), joins those
+    neighbours, and updates only the scores the step changed.  The width is
+    the most neighbours any variable has when it is eliminated; past ``cap``
+    this raises CapacityError at once.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for scope in scopes:
+        distinct = set(scope)
+        for v in distinct:
+            adj[v] |= distinct
+    for v in range(n):
+        adj[v].discard(v)
+    # fill[v]: pairs of v's neighbours that are not adjacent.
+    fill = []
+    for v in range(n):
+        d = len(adj[v])
+        inner = sum(len(adj[u] & adj[v]) for u in adj[v]) // 2
+        fill.append(d * (d - 1) // 2 - inner)
+    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    done = [False] * n
+    order: list[int] = []
+    width = 0
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if done[v] or f != fill[v] or d != len(adj[v]):
+            continue
+        nbrs = adj[v]
+        if len(nbrs) > cap:
+            raise CapacityError(f"elimination width {len(nbrs)} exceeds the width cap {cap}")
+        width = max(width, len(nbrs))
+        done[v] = True
+        order.append(v)
+        adj[v] = set()
+        touched = set(nbrs)
+        for w in nbrs:
+            # The pairs (v, y) that w's score counted leave with v.
+            adj[w].discard(v)
+            fill[w] -= len(adj[w]) - len(adj[w] & nbrs)
+        ranked = sorted(nbrs)
+        for i, a in enumerate(ranked):
+            for b in ranked[i + 1 :]:
+                if b in adj[a]:
+                    continue
+                common = adj[a] & adj[b]
+                for x in common:
+                    fill[x] -= 1
+                fill[a] += len(adj[a]) - len(common)
+                fill[b] += len(adj[b]) - len(common)
+                adj[a].add(b)
+                adj[b].add(a)
+                touched |= common
+        for x in touched:
+            heapq.heappush(heap, (fill[x], len(adj[x]), x))
+    return order, width
+
+
+def z_eliminate(inst: Instance) -> Fraction:
+    """Partition function by bucket elimination along a greedy min-fill order.
+
+    Exact, signed registries allowed, and equal to ``z_exact`` wherever both
+    run.  Cost is about n * 2**(w + 1) table entries for elimination width w;
+    a width past ``WIDTH_CAP`` raises CapacityError before any table is built.
+    """
+    csp = _as_csp(inst)
+    n = len(csp.variables)
+    index = {v: i for i, v in enumerate(csp.variables)}
+    names = csp.registry_map()
+    factors = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
+    order, _ = _min_fill_order(n, (scope for _, scope in factors), WIDTH_CAP)
+    position = [0] * n
+    for p, v in enumerate(order):
+        position[v] = p
+    buckets: list[list[tuple[Sequence[Fraction], Sequence[int]]]] = [[] for _ in range(n)]
+    total = Fraction(1)
+    for table, scope in factors:
+        if scope:
+            buckets[min(position[u] for u in scope)].append((table, scope))
+        else:
+            total *= table[0]
+    for p, v in enumerate(order):
+        # The bucket's product summed over v: free variables first, v bound.
+        atoms = buckets[p]
+        free = [u for u in dict.fromkeys(u for _, scope in atoms for u in scope) if u != v]
+        local = {u: i for i, u in enumerate(free)}
+        local[v] = len(free)
+        table = _sum_product(
+            len(free), len(free) + 1, [(t, [local[u] for u in scope]) for t, scope in atoms]
+        )
+        if free:
+            buckets[min(position[u] for u in free)].append((table, free))
+        else:
+            total *= table[0]
+    return total
 
 
 class _ParityUnion:

@@ -9,6 +9,9 @@ partition function, and count perfect matchings either exactly
 Markov chain telescoped over vertex removals.  The chain runs on the weighted
 graph and simulates only the steps that change its state; ``integerize``
 (weights cleared into parallel unit edges) defines its law but is never built.
+``estimate_z_fpras`` runs the pipeline only on instances whose elimination
+width exceeds ``instances.WIDTH_CAP``; narrower ones are summed exactly by
+``instances.z_eliminate``.
 
 All counts and estimates are exact rationals; floats and randomness enter only
 through the chain's sampling law, and a fixed config seed fixes the estimate.
@@ -43,6 +46,7 @@ from .instances import (
     _as_csp,
     _fresh_name,
     to_holant,
+    z_eliminate,
 )
 
 __all__ = [
@@ -123,10 +127,10 @@ def serialize_graph(g: WeightedMultigraph) -> str:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Accuracy target, failure budget, seed, and exact-counting size.
+    """Accuracy target, failure budget, seed, and telescoping base size.
 
-    ``exact_cap`` is both the pipeline's crossover to exact counting and the
-    telescoping base size.
+    ``exact_cap`` is the telescoping base size: ``estimate_pm`` counts graphs
+    of at most this many vertices exactly and telescopes larger ones down to it.
     """
 
     epsilon: Fraction = Fraction(1, 10)
@@ -619,12 +623,11 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
 def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fraction:
     """Partition-function estimate for an instance over one binary f.
 
-    f or its bit flip must have nonnegative Fourier coefficients; in the second
-    case the pipeline runs on the flipped instance, whose Z is the same.
-
-    Exact (and equal to brute force) whenever the triangle graph fits under
-    ``cfg.exact_cap``; otherwise the matching chain supplies the estimate and
-    all tracked constants are multiplied back exactly.
+    f or its bit flip must have nonnegative Fourier coefficients.  An instance
+    whose elimination width is at most ``WIDTH_CAP`` is answered exactly by
+    ``z_eliminate``.  A wider one runs the pipeline, on the flipped instance
+    (same Z) when only the bit flip is nonnegative: ``estimate_pm`` supplies
+    the matching count and all tracked constants are multiplied back exactly.
     """
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
@@ -634,12 +637,16 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
             raise InstanceError(f"constraint function {name!r} differs from the pipeline function")
+    if not in_cp(f) and not in_cp(bit_flip(f)):
+        raise InstanceError(
+            "function has a negative Fourier coefficient; classify_two_spin reports which "
+            "regime applies instead"
+        )
+    try:
+        return z_eliminate(csp)
+    except CapacityError:
+        pass  # wider than WIDTH_CAP: sample
     if not in_cp(f):
-        if not in_cp(bit_flip(f)):
-            raise InstanceError(
-                "function has a negative Fourier coefficient; classify_two_spin reports which "
-                "regime applies instead"
-            )
         # Flipping every spin maps f to bit_flip(f) in each constraint and keeps Z.
         used = {name for _, name in csp.constraints}
         registry = tuple((name, bit_flip(fn) if name in used else fn) for name, fn in csp.registry)
@@ -650,8 +657,4 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         return _ZERO
     assert form.holant is not None
     graph = build_triangle_graph(form.holant)
-    scale = form.kappa / 2
-    n = len(graph.vertices)
-    if n <= cfg.exact_cap:
-        return scale * count_pm_exact(graph, cap=max(n, 1))
-    return scale * estimate_pm(graph, cfg)
+    return form.kappa / 2 * estimate_pm(graph, cfg)

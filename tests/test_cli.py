@@ -248,3 +248,24 @@ def test_import_leaves_networkx_unloaded():
     code = "import sys, spincount.cli; print('networkx' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_z_estimate_long_ring_is_exact_without_networkx(tmp_path):
+    """A 1000-constraint ring takes the elimination path: exact, fast, no networkx."""
+    path = tmp_path / "ring1000.csp"
+    lines = "".join(f"con f x{i} x{(i + 1) % 1000}\n" for i in range(1000))
+    path.write_text("fun f 2 2 1 1 2\n" + lines)
+    code = (
+        "import sys, time\n"
+        "from spincount.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['z-estimate', sys.argv[1]])\n"
+        "print(code, time.perf_counter() - start, 'networkx' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == f"{3**1000 + 1}\n"
+    code, seconds, loaded = out.stderr.split()
+    assert code == "0" and loaded == "False"
+    assert float(seconds) < 1.0

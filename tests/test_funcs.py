@@ -46,7 +46,7 @@ from spincount.funcs import (
     support,
     unary,
 )
-from helpers import rand_binary, rand_function, rand_monotone, rand_product_type
+from helpers import rand_function, rand_monotone, rand_product_type
 
 # ---------------------------------------------------------------------------
 # Indexing and construction

@@ -12,7 +12,6 @@ from spincount.funcs import (
     DELTA1,
     EQ3,
     IMP,
-    PBFunction,
     binary,
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,

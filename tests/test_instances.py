@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from spincount.funcs import EQ, EQ3, IMP, NEQ, XOR3, CapacityError, binary, unary
+from spincount.funcs import EQ, EQ3, IMP, NEQ, XOR3, CapacityError, PBFunction, SignedTable, unary
 from spincount.instances import (
+    WIDTH_CAP,
+    _min_fill_order,
     CspInstance,
     HolantInstance,
     InstanceError,
@@ -17,6 +20,7 @@ from spincount.instances import (
     parse,
     serialize,
     to_holant,
+    z_eliminate,
     z_exact,
     z_product_type,
 )
@@ -118,6 +122,115 @@ def test_z_exact_cap():
 def test_z_exact_handles_signed_registries():
     signed = parse("fun s 1 1 -1\ncon s x\ncon s x\n")
     assert z_exact(signed) == 2
+
+
+# ---------------------------------------------------------------------------
+# elimination
+
+
+def _rand_signed_function(rng: random.Random, arity: int):
+    values = [Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(1 << arity)]
+    if any(v < 0 for v in values):
+        return SignedTable(arity, tuple(values))
+    return PBFunction(arity, tuple(values))
+
+
+def _ring(fn, m: int) -> CspInstance:
+    return CspInstance.build({"f": fn}, [((f"x{i}", f"x{(i + 1) % m}"), "f") for i in range(m)])
+
+
+def test_z_eliminate_matches_brute_force():
+    """Signed tables, zeros, repeated and unused variables, arity up to 3."""
+    rng = random.Random(551)
+    signed = 0
+    for _ in range(250):
+        funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        inst = rand_csp_instance(rng, funcs, rng.randint(1, 10), rng.randint(0, 12))
+        signed += inst.has_signed()
+        assert z_eliminate(inst) == z_exact(inst)
+    assert signed > 100
+    assert z_eliminate(CspInstance((), (), ())) == 1
+    assert z_eliminate(CspInstance(("x", "y"), (("e", EQ),), ((("x", "x"), "e"),))) == 4
+
+
+def test_z_eliminate_matches_product_type_oracle():
+    """The instances of acceptance criterion C11."""
+    rng = random.Random(1111)
+    for i in range(100):
+        n_vars = 20 if i == 50 else 17 if i == 75 else rng.randint(1, 8)
+        funcs = [rand_product_type(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        inst = rand_csp_instance(rng, funcs, n_vars, rng.randint(1, 6))
+        assert z_eliminate(inst) == z_product_type(inst)
+
+
+def test_z_eliminate_long_ring_is_trace_of_matrix_power():
+    m = 1000
+    assert z_eliminate(_ring(PBFunction.from_values(2, [2, 1, 1, 2]), m)) == 3**m + 1
+    a, b, c, d = 3, 1, 2, 5
+    power = [[1, 0], [0, 1]]
+    for _ in range(m):
+        power = [
+            [power[0][0] * a + power[0][1] * c, power[0][0] * b + power[0][1] * d],
+            [power[1][0] * a + power[1][1] * c, power[1][0] * b + power[1][1] * d],
+        ]
+    trace = power[0][0] + power[1][1]
+    assert z_eliminate(_ring(PBFunction.from_values(2, [a, b, c, d]), m)) == trace
+
+
+def test_z_eliminate_width_cap():
+    k = WIDTH_CAP + 2
+    clique = CspInstance.build(
+        {"e": EQ}, [((f"v{i}", f"v{j}"), "e") for i in range(k) for j in range(i + 1, k)]
+    )
+    with pytest.raises(CapacityError, match="width"):
+        z_eliminate(clique)
+    below = CspInstance.build(
+        {"e": EQ}, [((f"v{i}", f"v{j}"), "e") for i in range(k - 1) for j in range(i + 1, k - 1)]
+    )
+    assert z_eliminate(below) == 2
+
+
+def test_min_fill_order_matches_full_rescan():
+    """The incrementally updated scores pick what rescoring every variable would."""
+
+    def rescan(n, scopes):
+        adj = [set() for _ in range(n)]
+        for scope in scopes:
+            for v in scope:
+                adj[v] |= set(scope) - {v}
+        left, order, width = set(range(n)), [], 0
+        while left:
+            def score(v):
+                pairs = itertools.combinations(sorted(adj[v]), 2)
+                return sum(b not in adj[a] for a, b in pairs), len(adj[v]), v
+
+            v = min(left, key=score)
+            width = max(width, len(adj[v]))
+            for a in adj[v]:
+                adj[a] |= adj[v] - {a}
+                adj[a].discard(v)
+            left.remove(v)
+            order.append(v)
+        return order, width
+
+    rng = random.Random(552)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        scopes = [
+            [rng.randrange(n) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 25))
+        ]
+        assert _min_fill_order(n, scopes, n) == rescan(n, scopes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 4000])
+def test_min_fill_width_on_rings_and_paths(n):
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    order, width = _min_fill_order(n, ring, n)
+    assert sorted(order) == list(range(n))
+    assert width <= 2
+    order, width = _min_fill_order(n, ring[:-1], n)
+    assert sorted(order) == list(range(n))
+    assert width <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -407,9 +408,40 @@ def test_estimate_z_fpras_exact_path():
 
 def test_estimate_z_fpras_sampling_path():
     one = CspInstance.build({"f": binary(2, 1, 1, 2)}, [(("x", "y"), "f")])
+    form = holant_fourier_form(lift_instance(one))
+    g = build_triangle_graph(form.holant)
     for seed in range(3):
         cfg = EstimatorConfig(seed=seed, exact_cap=6)
-        assert estimate_z_fpras(binary(2, 1, 1, 2), one, cfg) == 6
+        assert form.kappa / 2 * estimate_pm(g, cfg) == 6
+
+
+def test_chain_on_c06_sampling_graphs():
+    """C06's two 36-vertex instances, now summed exactly, still gate the chain itself."""
+    f = binary(2, 1, 1, 2)
+    rng = random.Random(606)
+    sampling = []
+    while len(sampling) < 2:
+        inst = rand_csp_instance(rng, [f], rng.randint(2, 10), rng.randint(1, 4))
+        form = holant_fourier_form(lift_instance(inst))
+        g = build_triangle_graph(form.holant)
+        if len(g.vertices) == 36:
+            sampling.append((inst, form.kappa, g))
+    lo, hi = math.exp(-0.1), math.exp(0.1)
+    for inst, kappa, g in sampling:
+        z = z_exact(inst)
+        hits = 0
+        for seed in range(20):
+            cfg = EstimatorConfig(epsilon=Fraction(1, 10), seed=seed)
+            hits += lo <= float(kappa / 2 * estimate_pm(g, cfg) / z) <= hi
+        assert hits >= 12, f"only {hits}/20 runs inside the window"
+
+
+def test_estimate_z_fpras_long_ring_is_exact():
+    m = 1000
+    ring = CspInstance.build(
+        {"f": binary(2, 1, 1, 2)}, [((f"x{i}", f"x{(i + 1) % m}"), "f") for i in range(m)]
+    )
+    assert estimate_z_fpras(binary(2, 1, 1, 2), ring, EstimatorConfig()) == 3**m + 1
 
 
 def test_estimate_z_fpras_random_exact_path():
