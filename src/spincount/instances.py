@@ -61,8 +61,10 @@ __all__ = [
 Table = Union[PBFunction, SignedTable]
 
 Z_EXACT_CAP = 24
-# z_eliminate's bound on the elimination width: one elimination at the cap
-# sums a table of 2**(WIDTH_CAP + 1) entries.
+# z_eliminate's bound on the elimination width, a guard on its time and
+# memory rather than a crossover with the matching chain: one elimination step
+# at the cap sums 2**(WIDTH_CAP + 1) products per bucket factor into a table
+# of 2**WIDTH_CAP entries, and each width above it doubles both.
 WIDTH_CAP = 12
 NEAR_CAP = 12
 # Conversion certificates are brute-force checked only below this size.
@@ -305,15 +307,14 @@ def z_exact(inst: Instance, cap: Optional[int] = None) -> Fraction:
     return _sum_product(0, n, atoms)[0]
 
 
-def _min_fill_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order of the primal graph, and its width.
+def _min_degree_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> list[int]:
+    """Greedy min-degree elimination order of the primal graph.
 
     The primal graph joins every two distinct variables that share a scope.
-    Each step eliminates the variable whose neighbours miss the fewest edges
-    among themselves (ties: fewer neighbours, then lower index), joins those
-    neighbours, and updates only the scores the step changed.  The width is
-    the most neighbours any variable has when it is eliminated; past ``cap``
-    this raises CapacityError at once.
+    Each step eliminates a variable with the fewest neighbours (ties: lower
+    index) and joins those neighbours; heap entries whose degree has since
+    changed are skipped.  The width is the most neighbours any variable has
+    when it is eliminated; past ``cap`` this raises CapacityError at once.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     for scope in scopes:
@@ -322,53 +323,28 @@ def _min_fill_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> tuple[
             adj[v] |= distinct
     for v in range(n):
         adj[v].discard(v)
-    # fill[v]: pairs of v's neighbours that are not adjacent.
-    fill = []
-    for v in range(n):
-        d = len(adj[v])
-        inner = sum(len(adj[u] & adj[v]) for u in adj[v]) // 2
-        fill.append(d * (d - 1) // 2 - inner)
-    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
+    heap = [(len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
     done = [False] * n
     order: list[int] = []
-    width = 0
     while heap:
-        f, d, v = heapq.heappop(heap)
-        if done[v] or f != fill[v] or d != len(adj[v]):
+        d, v = heapq.heappop(heap)
+        if done[v] or d != len(adj[v]):
             continue
-        nbrs = adj[v]
-        if len(nbrs) > cap:
-            raise CapacityError(f"elimination width {len(nbrs)} exceeds the width cap {cap}")
-        width = max(width, len(nbrs))
+        if d > cap:
+            raise CapacityError(f"elimination width {d} exceeds the width cap {cap}")
         done[v] = True
         order.append(v)
-        adj[v] = set()
-        touched = set(nbrs)
+        nbrs, adj[v] = adj[v], set()
         for w in nbrs:
-            # The pairs (v, y) that w's score counted leave with v.
-            adj[w].discard(v)
-            fill[w] -= len(adj[w]) - len(adj[w] & nbrs)
-        ranked = sorted(nbrs)
-        for i, a in enumerate(ranked):
-            for b in ranked[i + 1 :]:
-                if b in adj[a]:
-                    continue
-                common = adj[a] & adj[b]
-                for x in common:
-                    fill[x] -= 1
-                fill[a] += len(adj[a]) - len(common)
-                fill[b] += len(adj[b]) - len(common)
-                adj[a].add(b)
-                adj[b].add(a)
-                touched |= common
-        for x in touched:
-            heapq.heappush(heap, (fill[x], len(adj[x]), x))
-    return order, width
+            adj[w] |= nbrs
+            adj[w] -= {v, w}
+            heapq.heappush(heap, (len(adj[w]), w))
+    return order
 
 
 def z_eliminate(inst: Instance) -> Fraction:
-    """Partition function by bucket elimination along a greedy min-fill order.
+    """Partition function by bucket elimination along a greedy min-degree order.
 
     Exact, signed registries allowed, and equal to ``z_exact`` wherever both
     run.  Cost is about n * 2**(w + 1) table entries for elimination width w;
@@ -379,7 +355,7 @@ def z_eliminate(inst: Instance) -> Fraction:
     index = {v: i for i, v in enumerate(csp.variables)}
     names = csp.registry_map()
     factors = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
-    order, _ = _min_fill_order(n, (scope for _, scope in factors), WIDTH_CAP)
+    order = _min_degree_order(n, (scope for _, scope in factors), WIDTH_CAP)
     position = [0] * n
     for p, v in enumerate(order):
         position[v] = p

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from spincount import instances
 from spincount.cli import main, parse_function_literal
 from spincount.funcs import PBFunction, SignedTable
 
@@ -159,18 +160,21 @@ def test_z_estimate_matches_z_exact_bytes(ferro_file, capsys):
     assert capsys.readouterr().out == "z=28\n"
 
 
-def test_z_estimate_sampling_path_stays_close(ferro_file, capsys):
+def test_z_estimate_sampling_path_stays_close(ferro_file, capsys, monkeypatch):
+    monkeypatch.setattr(instances, "WIDTH_CAP", 0)  # send the 3-cycle down the chain
     assert main(["z-estimate", ferro_file, "--exact-cap", "6", "--seed", "3"]) == 0
     value = Fraction(capsys.readouterr().out.strip())
     assert Fraction(9, 10) * 28 <= value <= Fraction(11, 10) * 28
 
 
-def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys):
+def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys, monkeypatch):
     """binary(1, 1, 1, 4) is tagged FPRAS but has negative Fourier coefficients."""
     path = tmp_path / "ring1114.csp"
     path.write_text("fun g 2 1 1 1 4\n" + "".join(f"con g x{i} x{(i + 1) % 4}\n" for i in range(4)))
-    assert main(["z-estimate", str(path)]) == 0
-    assert capsys.readouterr().out == "343\n"
+    for width_cap in (instances.WIDTH_CAP, 0):
+        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+        assert main(["z-estimate", str(path)]) == 0
+        assert capsys.readouterr().out == "343\n"
 
 
 def test_z_estimate_rejects_mixed_instances(tmp_path, capsys):

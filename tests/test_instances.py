@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ import pytest
 from spincount.funcs import EQ, EQ3, IMP, NEQ, XOR3, CapacityError, PBFunction, SignedTable, unary
 from spincount.instances import (
     WIDTH_CAP,
-    _min_fill_order,
+    _min_degree_order,
     CspInstance,
     HolantInstance,
     InstanceError,
@@ -190,47 +189,15 @@ def test_z_eliminate_width_cap():
     assert z_eliminate(below) == 2
 
 
-def test_min_fill_order_matches_full_rescan():
-    """The incrementally updated scores pick what rescoring every variable would."""
-
-    def rescan(n, scopes):
-        adj = [set() for _ in range(n)]
-        for scope in scopes:
-            for v in scope:
-                adj[v] |= set(scope) - {v}
-        left, order, width = set(range(n)), [], 0
-        while left:
-            def score(v):
-                pairs = itertools.combinations(sorted(adj[v]), 2)
-                return sum(b not in adj[a] for a, b in pairs), len(adj[v]), v
-
-            v = min(left, key=score)
-            width = max(width, len(adj[v]))
-            for a in adj[v]:
-                adj[a] |= adj[v] - {a}
-                adj[a].discard(v)
-            left.remove(v)
-            order.append(v)
-        return order, width
-
-    rng = random.Random(552)
-    for _ in range(300):
-        n = rng.randint(1, 14)
-        scopes = [
-            [rng.randrange(n) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 25))
-        ]
-        assert _min_fill_order(n, scopes, n) == rescan(n, scopes)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 4000])
-def test_min_fill_width_on_rings_and_paths(n):
+def test_min_degree_width_on_rings_and_paths(n):
+    """Rings order within width 2 and paths within width 1: the cap argument checks it."""
     ring = [(i, (i + 1) % n) for i in range(n)]
-    order, width = _min_fill_order(n, ring, n)
-    assert sorted(order) == list(range(n))
-    assert width <= 2
-    order, width = _min_fill_order(n, ring[:-1], n)
-    assert sorted(order) == list(range(n))
-    assert width <= 1
+    assert sorted(_min_degree_order(n, ring, 2)) == list(range(n))
+    assert sorted(_min_degree_order(n, ring[:-1], 1)) == list(range(n))
+    if n > 2:
+        with pytest.raises(CapacityError, match="width 2"):
+            _min_degree_order(n, ring, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from spincount.classify import TwoSpinTag, classify_two_spin
 from spincount.funcs import EQ, EQ3, XOR3, CapacityError, binary, fourier, in_cp, unary
-from spincount.instances import CspInstance, HolantInstance, InstanceError, z_exact
+from spincount import instances
+from spincount.instances import WIDTH_CAP, CspInstance, HolantInstance, InstanceError, z_exact
 from spincount.matching import (
     _Chain,
     _bundles,
@@ -444,27 +445,34 @@ def test_estimate_z_fpras_long_ring_is_exact():
     assert estimate_z_fpras(binary(2, 1, 1, 2), ring, EstimatorConfig()) == 3**m + 1
 
 
-def test_estimate_z_fpras_random_exact_path():
-    rng = random.Random(41)
-    for _ in range(15):
-        f = rand_cp_binary(rng)
-        inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
-        cfg = EstimatorConfig(exact_cap=60)
-        assert estimate_z_fpras(f, inst, cfg) == z_exact(inst)
+def test_estimate_z_fpras_random_exact_path(monkeypatch):
+    """Exact by elimination, and through the pipeline when the width cap is 0."""
+    for width_cap in (WIDTH_CAP, 0):
+        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+        rng = random.Random(41)
+        for _ in range(15):
+            f = rand_cp_binary(rng)
+            inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
+            cfg = EstimatorConfig(exact_cap=60)
+            assert estimate_z_fpras(f, inst, cfg) == z_exact(inst)
 
 
-def test_estimate_z_fpras_accepts_every_fpras_tag():
-    """Binaries tagged FPRAS are estimated exactly, also those run under a spin flip."""
-    rng = random.Random(43)
-    flipped = 0
-    for _ in range(20):
-        f = rand_binary(rng)
-        while classify_two_spin(f).tag is not TwoSpinTag.FPRAS:
+def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
+    """Binaries tagged FPRAS are estimated exactly, by elimination and, with the
+    width cap at 0, through the pipeline, also those run under a spin flip."""
+    for width_cap in (WIDTH_CAP, 0):
+        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+        rng = random.Random(43)
+        flipped = 0
+        for _ in range(20):
             f = rand_binary(rng)
-        flipped += not in_cp(f)
-        inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
-        assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == z_exact(inst)
-    assert flipped > 0
+            while classify_two_spin(f).tag is not TwoSpinTag.FPRAS:
+                f = rand_binary(rng)
+            inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
+            # Width 0 sends every instance with a two-variable constraint down the pipeline.
+            flipped += not in_cp(f) and any(len(set(scope)) == 2 for scope, _ in inst.constraints)
+            assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == z_exact(inst)
+        assert flipped > 0
 
 
 def test_estimate_z_fpras_rejects_negative_fourier():
