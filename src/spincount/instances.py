@@ -23,6 +23,7 @@ exact at any size whose elimination width is at most ``WIDTH_CAP``.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,11 +413,33 @@ class _ParityUnion:
         return True
 
 
+def _power_product(factors: Iterable[tuple[Fraction, int]]) -> Fraction:
+    """The product of every factor raised to its count.
+
+    Equal factors are merged first (keyed by numerator and denominator, which
+    hash faster than a ``Fraction``), so a product over a few distinct values
+    is a handful of big-int powers. A running ``Fraction`` product would
+    reduce an ever-larger numerator by ``gcd`` at every step, which is
+    quadratic in the number of factors.
+    """
+    values: dict[tuple[int, int], Fraction] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for value, count in factors:
+        key = (value.numerator, value.denominator)
+        values[key] = value
+        counts[key] = counts.get(key, 0) + count
+    return math.prod((values[key] ** count for key, count in counts.items()), start=Fraction(1))
+
+
 def z_product_type(inst: Instance) -> Fraction:
     """Polynomial-time partition function for product-type registries.
 
     Factors every constraint into a constant, unary weights, and equality or
     disequality couplings, then sums each coupled component in two terms.
+
+    The cost is near-linear in the instance. Every factor is an entry of one
+    of the registry's few tables, so each product is built from how often each
+    distinct factor occurs (``_power_product``), not as a running product.
     """
     csp = _as_csp(inst)
     if csp.has_signed():
@@ -430,38 +453,39 @@ def z_product_type(inst: Instance) -> Fraction:
         forms[name] = form
     n = len(csp.variables)
     index = {v: i for i, v in enumerate(csp.variables)}
-    weights: list[tuple[Fraction, Fraction]] = [(Fraction(1), Fraction(1))] * n
     union = _ParityUnion(n)
-    constant = Fraction(1)
+    uses: dict[str, int] = {}
     feasible = True
     for scope, name in csp.constraints:
+        uses[name] = uses.get(name, 0) + 1
         form = forms[name]
-        constant *= form.constant
-        for coord, u in form.unaries:
-            i = index[scope[coord]]
-            w0, w1 = weights[i]
-            weights[i] = (w0 * u.table[0], w1 * u.table[1])
         for a, b in form.eq_pairs:
             feasible &= union.union(index[scope[a]], index[scope[b]], 0)
         for a, b in form.neq_pairs:
             feasible &= union.union(index[scope[a]], index[scope[b]], 1)
+    constant = _power_product((forms[name].constant, count) for name, count in uses.items())
     if constant == 0 or not feasible:
         return Fraction(0)
-    components: dict[int, list[int]] = {}
-    for i in range(n):
-        root, _ = union.find(i)
-        components.setdefault(root, []).append(i)
-    total = Fraction(1)
-    for members in components.values():
-        term0 = Fraction(1)
-        term1 = Fraction(1)
-        for i in members:
-            _, p = union.find(i)
-            w0, w1 = weights[i]
-            term0 *= w0 if p == 0 else w1
-            term1 *= w1 if p == 0 else w0
-        total *= term0 + term1
-    return constant * total
+    # Unary j of a constraint named `name`, on a variable of parity p against
+    # its component's root, multiplies that component's two terms by u(p) and
+    # u(1 - p); count each such placement once.
+    placements: dict[tuple[int, int, str, int], int] = {}
+    for scope, name in csp.constraints:
+        for j, (coord, _) in enumerate(forms[name].unaries):
+            root, p = union.find(index[scope[coord]])
+            key = (root, p, name, j)
+            placements[key] = placements.get(key, 0) + 1
+    terms: dict[int, tuple[list, list]] = {}
+    for (root, p, name, j), count in placements.items():
+        table = forms[name].unaries[j][1].table
+        term0, term1 = terms.setdefault(root, ([], []))
+        term0.append((table[p], count))
+        term1.append((table[1 - p], count))
+    sums = [(_power_product(t0) + _power_product(t1), 1) for t0, t1 in terms.values()]
+    # A component without unaries sums to 1 + 1.
+    roots = sum(1 for i in range(n) if union.parent[i] == i)
+    sums.append((Fraction(2), roots - len(terms)))
+    return constant * _power_product(sums)
 
 
 # ---------------------------------------------------------------------------

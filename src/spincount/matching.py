@@ -94,8 +94,9 @@ class Edge:
     label: str = "plain"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", frac(self.weight))
-        if self.weight < 0:
+        if not isinstance(self.weight, Fraction):
+            object.__setattr__(self, "weight", frac(self.weight))
+        if self.weight.numerator < 0:
             raise ValueError(f"negative edge weight {self.weight}")
         if self.label not in EDGE_LABELS:
             raise ValueError(f"unknown edge label {self.label!r}")
@@ -281,24 +282,27 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
     """
     if inst.has_signed():
         raise InstanceError("signed registries have no triangle graph")
-    names = inst.registry_map()
+    # Each table's form is checked once; a constraint only looks its name up.
+    weights: dict[str, Optional[tuple[Fraction, Fraction, Fraction]]] = {}
+    for name, fn in inst.registry_map().items():
+        on_form = fn.arity == 3 and fn.table[0] == 1 and all(fn.table[i] == 0 for i in (1, 2, 4, 7))
+        weights[name] = (fn.table[0b110], fn.table[0b101], fn.table[0b011]) if on_form else None
     vertices: list[str] = []
     edges: list[Edge] = []
+    slots: dict[str, list[str]] = {}
     for ci, (scope, name) in enumerate(inst.constraints):
-        fn = names[name]
-        if fn.arity != 3 or fn.table[0] != 1 or any(fn.table[i] != 0 for i in (1, 2, 4, 7)):
+        w = weights[name]
+        if w is None:
             raise InstanceError(
                 f"constraint {ci} uses {name!r}, which is not unit-at-zero and zero on odd weight"
             )
         corners = [f"c{ci}.1", f"c{ci}.2", f"c{ci}.3"]
         vertices += corners
-        edges.append(Edge(corners[0], corners[1], fn.table[0b110], "within_triangle"))
-        edges.append(Edge(corners[0], corners[2], fn.table[0b101], "within_triangle"))
-        edges.append(Edge(corners[1], corners[2], fn.table[0b011], "within_triangle"))
-    slots: dict[str, list[str]] = {}
-    for ci, (scope, _) in enumerate(inst.constraints):
-        for pos, v in enumerate(scope):
-            slots.setdefault(v, []).append(f"c{ci}.{pos + 1}")
+        edges.append(Edge(corners[0], corners[1], w[0], "within_triangle"))
+        edges.append(Edge(corners[0], corners[2], w[1], "within_triangle"))
+        edges.append(Edge(corners[1], corners[2], w[2], "within_triangle"))
+        for v, corner in zip(scope, corners):
+            slots.setdefault(v, []).append(corner)
     for v in inst.variables:
         a, b = slots[v]
         edges.append(Edge(a, b, _ONE, "between_triangles"))

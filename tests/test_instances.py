@@ -7,7 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from spincount.funcs import EQ, EQ3, IMP, NEQ, XOR3, CapacityError, PBFunction, SignedTable, unary
+from spincount.funcs import (
+    DELTA0,
+    DELTA1,
+    EQ,
+    EQ3,
+    IMP,
+    NEQ,
+    XOR3,
+    CapacityError,
+    PBFunction,
+    SignedTable,
+    unary,
+)
 from spincount.instances import (
     WIDTH_CAP,
     _min_degree_order,
@@ -217,6 +229,38 @@ def test_z_product_type_contradiction_is_zero():
         {"e": EQ, "n": NEQ}, [(("x", "y"), "e"), (("x", "y"), "n")]
     )
     assert z_product_type(inst) == 0
+
+
+def test_z_product_type_long_rings_match_closed_forms():
+    m = 20000
+    p, q = Fraction(7, 3), Fraction(2, 5)
+    assert z_product_type(_ring(PBFunction.from_values(2, [p, 0, 0, q]), m)) == p**m + q**m
+    assert z_product_type(_ring(PBFunction.from_values(2, [0, p, q, 0]), m)) == 2 * (p * q) ** (m // 2)
+
+
+def test_z_product_type_long_random_rings_match_elimination():
+    """Rings of random product-type binaries, with unaries, zero entries and pins on the side.
+
+    A ring has width 2, so elimination is an exact oracle at any length.
+    """
+    rng = random.Random(2048)
+    sparse = [DELTA0, DELTA1, unary(0, Fraction(3, 2)), unary(Fraction(5, 4), 0)]
+    zero = nonzero = 0
+    for _ in range(12):
+        m = rng.randint(1000, 1500)
+        registry = {f"b{i}": rand_product_type(rng, 2) for i in range(3)}
+        registry |= {f"u{i}": u for i, u in enumerate(sparse)}
+        registry["w"] = unary(Fraction(2, 3), 3)
+        cons = [((f"x{i}", f"x{(i + 1) % m}"), f"b{rng.randrange(3)}") for i in range(m)]
+        cons += [((f"x{rng.randrange(m)}",), f"u{rng.randrange(4)}") for _ in range(rng.randint(0, 3))]
+        cons += [((f"x{rng.randrange(m)}",), "w") for _ in range(m // 10)]
+        rng.shuffle(cons)
+        inst = CspInstance.build(registry, cons)
+        z = z_product_type(inst)
+        assert z == z_eliminate(inst)
+        zero += z == 0
+        nonzero += z != 0
+    assert zero >= 2 and nonzero >= 2, (zero, nonzero)
 
 
 def test_z_product_type_rejects_non_product():

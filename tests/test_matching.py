@@ -172,6 +172,49 @@ def test_triangle_graph_rejects_off_form_tables():
         build_triangle_graph(bad)
 
 
+def test_triangle_graph_error_names_first_use():
+    """The form is checked once per table, but the error still names the first constraint using it."""
+    mixed = HolantInstance.build(
+        {"w": XOR3, "e": EQ3},
+        [
+            (("a", "b", "c"), "w"),
+            (("a", "b", "c"), "w"),
+            (("d", "e", "f"), "e"),
+            (("d", "e", "f"), "e"),
+        ],
+    )
+    with pytest.raises(InstanceError, match=r"constraint 2 uses 'e'"):
+        build_triangle_graph(mixed)
+
+
+def test_triangle_graph_ignores_unused_off_form_table():
+    spare = HolantInstance.build({"w": XOR3, "e": EQ3}, PRISM.constraints)
+    assert serialize_graph(build_triangle_graph(spare)) == serialize_graph(build_triangle_graph(PRISM))
+
+
+def test_edge_rejects_negative_weight_and_unknown_label():
+    with pytest.raises(ValueError, match="negative"):
+        Edge("a", "b", Fraction(-1, 2))
+    with pytest.raises(ValueError, match="negative"):
+        Edge("a", "b", -3)
+    with pytest.raises(ValueError, match="label"):
+        Edge("a", "b", Fraction(1), "diagonal")
+
+
+def test_edge_refuses_float_weight():
+    with pytest.raises(TypeError, match="exact rational"):
+        Edge("a", "b", 0.5)
+
+
+@pytest.mark.parametrize(
+    "weight, expected", [(3, Fraction(3)), ("2/6", Fraction(1, 3)), (True, Fraction(1)), (0, Fraction(0))]
+)
+def test_edge_coerces_exact_weights(weight, expected):
+    e = Edge("a", "b", weight)
+    assert type(e.weight) is Fraction
+    assert e.weight == expected
+
+
 def test_serialize_graph_lines():
     g = graph("ab", [("a", "b", Fraction(1, 2))])
     assert serialize_graph(g) == "v a\nv b\ne a b 1/2 plain\n"
