@@ -82,12 +82,21 @@ class InstanceError(ValueError):
         self.line = line
 
 
-_NAME_OK = re.compile(r"^\S+$")
+_NAME_OK = re.compile(r"[^\s#]+")
 
 
-def _check_name(kind: str, name: str) -> None:
-    if not _NAME_OK.match(name) or "#" in name:
-        raise InstanceError(f"bad {kind} name {name!r}")
+def _check_names(kind: str, names: Sequence[str]) -> None:
+    """Reject an empty name or one holding whitespace or ``#``, naming the first such.
+
+    All names are tested at once on their concatenation: it splits on
+    whitespace into itself alone exactly when no name holds whitespace.
+    """
+    joined = "".join(names)
+    if all(names) and "#" not in joined and joined.split() == [joined]:
+        return
+    for name in names:
+        if not _NAME_OK.fullmatch(name):
+            raise InstanceError(f"bad {kind} name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,10 @@ class CspInstance:
         object.__setattr__(self, "constraints", constraints)
         if len(set(variables)) != len(variables):
             raise InstanceError("duplicate variable names")
-        for v in variables:
-            _check_name("variable", v)
+        _check_names("variable", variables)
+        _check_names("function", [name for name, _ in registry])
         seen: dict[str, Table] = {}
         for name, fn in registry:
-            _check_name("function", name)
             if name in seen:
                 raise InstanceError(f"duplicate function name {name!r}")
             if not isinstance(fn, (PBFunction, SignedTable)):

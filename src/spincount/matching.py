@@ -24,12 +24,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .funcs import (
     XOR3,
     CapacityError,
     PBFunction,
+    Rational,
     SignedTable,
     bit_flip,
     bits_of,
@@ -84,22 +85,36 @@ class EstimateError(Exception):
     """The chain failed to produce usable samples."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One multigraph edge; self-loops allowed, weight an exact nonnegative rational."""
-
+class _EdgeFields(NamedTuple):
     u: str
     v: str
     weight: Fraction
     label: str = "plain"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.weight, Fraction):
-            object.__setattr__(self, "weight", frac(self.weight))
-        if self.weight.numerator < 0:
-            raise ValueError(f"negative edge weight {self.weight}")
-        if self.label not in EDGE_LABELS:
-            raise ValueError(f"unknown edge label {self.label!r}")
+
+class Edge(_EdgeFields):
+    """One multigraph edge; self-loops allowed, weight an exact nonnegative rational.
+
+    An edge is a named tuple ``(u, v, weight, label)``: it unpacks, and compares
+    and hashes equal to the plain 4-tuple of its fields.  The constructor coerces
+    the weight with ``frac`` and rejects a negative weight or an unknown label.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: str, v: str, weight: Rational, label: str = "plain") -> "Edge":
+        if not isinstance(weight, Fraction):
+            weight = frac(weight)
+        if weight.numerator < 0:
+            raise ValueError(f"negative edge weight {weight}")
+        if label not in EDGE_LABELS:
+            raise ValueError(f"unknown edge label {label!r}")
+        return tuple.__new__(cls, (u, v, weight, label))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Edge":
+        # namedtuple's _make, which _replace also calls, would skip __new__.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -287,25 +302,31 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
     for name, fn in inst.registry_map().items():
         on_form = fn.arity == 3 and fn.table[0] == 1 and all(fn.table[i] == 0 for i in (1, 2, 4, 7))
         weights[name] = (fn.table[0b110], fn.table[0b101], fn.table[0b011]) if on_form else None
+    # Edges skip Edge's per-edge check: the per-table check above covers it.
+    # With signed registries refused, every weight is an entry of a
+    # PBFunction, a nonnegative Fraction, and both labels are in EDGE_LABELS.
+    new_edge = tuple.__new__
     vertices: list[str] = []
     edges: list[Edge] = []
-    slots: dict[str, list[str]] = {}
-    for ci, (scope, name) in enumerate(inst.constraints):
+    for ci, (_, name) in enumerate(inst.constraints):
         w = weights[name]
         if w is None:
             raise InstanceError(
                 f"constraint {ci} uses {name!r}, which is not unit-at-zero and zero on odd weight"
             )
-        corners = [f"c{ci}.1", f"c{ci}.2", f"c{ci}.3"]
+        a, b, c = corners = (f"c{ci}.1", f"c{ci}.2", f"c{ci}.3")
         vertices += corners
-        edges.append(Edge(corners[0], corners[1], w[0], "within_triangle"))
-        edges.append(Edge(corners[0], corners[2], w[1], "within_triangle"))
-        edges.append(Edge(corners[1], corners[2], w[2], "within_triangle"))
-        for v, corner in zip(scope, corners):
-            slots.setdefault(v, []).append(corner)
-    for v in inst.variables:
-        a, b = slots[v]
-        edges.append(Edge(a, b, _ONE, "between_triangles"))
+        edges += (
+            new_edge(Edge, (a, b, w[0], "within_triangle")),
+            new_edge(Edge, (a, c, w[1], "within_triangle")),
+            new_edge(Edge, (b, c, w[2], "within_triangle")),
+        )
+    # Slot k of the flattened scopes is corner vertices[k]; a holant variable
+    # fills exactly two slots, its first and its last.
+    filled = [v for scope, _ in inst.constraints for v in scope]
+    first = dict(zip(reversed(filled), reversed(vertices)))
+    last = dict(zip(filled, vertices))
+    edges += [new_edge(Edge, (first[v], last[v], _ONE, "between_triangles")) for v in inst.variables]
     return WeightedMultigraph(tuple(vertices), tuple(edges))
 
 

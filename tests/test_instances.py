@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,37 @@ def test_build_validates_scopes():
         CspInstance.build({"e": EQ}, [(("x", "y"), "nope")])
     with pytest.raises(InstanceError, match="duplicate"):
         CspInstance((("x", "x")), (("e", EQ),), ((("x", "x"), "e"),))
+
+
+def _assert_names_refused(bad):
+    good = ["x", "y.2", "f'", "été"]
+    with pytest.raises(InstanceError, match=re.escape(f"bad variable name {bad!r}")):
+        CspInstance.build({"e": EQ}, [(("x", "y.2"), "e")], variables=good + [bad])
+    with pytest.raises(InstanceError, match=re.escape(f"bad function name {bad!r}")):
+        CspInstance.build({"e": EQ, bad: EQ}, [(("x", "y"), "e")])
+
+
+@pytest.mark.parametrize("bad", ["", " ", "\t", "#", "a\n", "\na", "a b", "a#b"])
+def test_build_rejects_bad_names(bad):
+    """An empty name, whitespace anywhere (a final newline included) or '#' is refused by name."""
+    _assert_names_refused(bad)
+
+
+def test_build_rejects_every_whitespace_character():
+    """Every character that ``str.split`` splits on, so that parse would split the name."""
+    whitespace = [c for c in map(chr, range(0x3001)) if len(f"a{c}b".split()) == 2]
+    assert len(whitespace) > 20
+    for c in whitespace:
+        _assert_names_refused(f"x{c}y")
+
+
+def test_parse_serialize_round_trip_unusual_names():
+    inst = CspInstance.build(
+        {"f.lift": EQ3, "é": EQ}, [(("y.2", "x'", "été"), "f.lift"), (("x'", "x'"), "é")]
+    )
+    back = parse(serialize(inst))
+    assert back == inst
+    assert serialize(back) == serialize(inst)
 
 
 def test_holant_instance_enforces_two_occurrences():

@@ -9,13 +9,25 @@ from fractions import Fraction
 import pytest
 
 from spincount.classify import TwoSpinTag, classify_two_spin
-from spincount.funcs import EQ, EQ3, XOR3, CapacityError, binary, fourier, in_cp, unary
+from spincount.funcs import (
+    EQ,
+    EQ3,
+    XOR3,
+    CapacityError,
+    PBFunction,
+    SignedTable,
+    binary,
+    fourier,
+    in_cp,
+    unary,
+)
 from spincount import instances
 from spincount.instances import WIDTH_CAP, CspInstance, HolantInstance, InstanceError, z_exact
 from spincount.matching import (
     _Chain,
     _bundles,
     _denominator_lcm,
+    EDGE_LABELS,
     Edge,
     EstimatorConfig,
     WeightedMultigraph,
@@ -30,7 +42,15 @@ from spincount.matching import (
     sdp3_lift,
     serialize_graph,
 )
-from helpers import rand_binary, rand_cp_binary, rand_csp_instance, rand_fraction
+from helpers import (
+    rand_binary,
+    rand_cp_binary,
+    rand_csp_instance,
+    rand_fraction,
+    rand_holant_instance,
+    rand_wtilde,
+    rand_wtilde_cp,
+)
 
 
 def graph(vertices, edges):
@@ -166,6 +186,20 @@ def test_triangle_graph_vertex_names():
     assert g.vertices == ("c0.1", "c0.2", "c0.3", "c1.1", "c1.2", "c1.3")
 
 
+def test_triangle_graph_serialization_frozen():
+    """Unit edges join a variable's first slot to its last, in variable order."""
+    w = PBFunction(3, (1, 0, 0, "1/2", 0, 2, 3, 0))
+    inst = HolantInstance.build({"w": w}, [(("x", "x", "y"), "w"), (("z", "y", "z"), "w")])
+    assert serialize_graph(build_triangle_graph(inst)) == (
+        "v c0.1\nv c0.2\nv c0.3\nv c1.1\nv c1.2\nv c1.3\n"
+        "e c0.1 c0.2 3 within_triangle\ne c0.1 c0.3 2 within_triangle\n"
+        "e c0.2 c0.3 1/2 within_triangle\ne c1.1 c1.2 3 within_triangle\n"
+        "e c1.1 c1.3 2 within_triangle\ne c1.2 c1.3 1/2 within_triangle\n"
+        "e c0.1 c0.2 1 between_triangles\ne c0.3 c1.2 1 between_triangles\n"
+        "e c1.1 c1.3 1 between_triangles\n"
+    )
+
+
 def test_triangle_graph_rejects_off_form_tables():
     bad = HolantInstance.build({"e": EQ3}, [(("x", "y", "z"), "e"), (("x", "y", "z"), "e")])
     with pytest.raises(InstanceError, match="unit-at-zero"):
@@ -213,6 +247,48 @@ def test_edge_coerces_exact_weights(weight, expected):
     e = Edge("a", "b", weight)
     assert type(e.weight) is Fraction
     assert e.weight == expected
+
+
+def test_edge_is_an_immutable_named_tuple():
+    e = Edge("a", "b", 2)
+    assert e == Edge("a", "b", Fraction(2), "plain") == ("a", "b", Fraction(2), "plain")
+    assert e != Edge("a", "b", 3) and e != Edge("b", "a", 2) and e != Edge("a", "b", 2, "between_triangles")
+    assert hash(e) == hash(Edge("a", "b", Fraction(2)))
+    assert len({e, Edge("a", "b", 2), Edge("a", "b", 1)}) == 2
+    u, v, w, label = e
+    assert (u, v, w, label) == (e.u, e.v, e.weight, e.label)
+    with pytest.raises(AttributeError):
+        e.weight = Fraction(-1)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e._replace(weight=5).weight == 5
+    with pytest.raises(ValueError, match="negative"):
+        e._replace(weight=-1)
+    with pytest.raises(ValueError, match="label"):
+        Edge._make(("a", "b", 1, "diagonal"))
+
+
+def test_triangle_graph_edges_hold_the_edge_invariants():
+    """build_triangle_graph skips Edge's checks; every edge it emits must still pass them."""
+    rng = random.Random(77)
+    suites = [rand_holant_instance(rng, rand_wtilde, rng.choice([2, 4, 6])) for _ in range(20)]
+    suites += [rand_holant_instance(rng, rand_wtilde_cp, rng.choice([2, 4])) for _ in range(20)]
+    while len(suites) < 60:
+        inst = rand_csp_instance(rng, [sdp3_lift(rand_cp_binary(rng))], rng.randint(1, 4), rng.randint(1, 4))
+        form = holant_fourier_form(inst)
+        if not form.is_zero:
+            suites.append(form.holant)
+    for inst in suites:
+        g = build_triangle_graph(inst)
+        assert len(g.edges) == 3 * len(inst.constraints) + len(inst.variables)
+        for e in g.edges:
+            assert type(e) is Edge
+            assert type(e.weight) is Fraction and e.weight >= 0
+            assert e.label in EDGE_LABELS
+            assert Edge(*e) == e
+    signed = HolantInstance.build({"w": SignedTable(3, (1, 0, 0, -1, 0, 1, 1, 0))}, PRISM.constraints)
+    with pytest.raises(InstanceError, match="signed"):
+        build_triangle_graph(signed)
 
 
 def test_serialize_graph_lines():
