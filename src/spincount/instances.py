@@ -25,9 +25,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
     EQ3,
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 Table = Union[PBFunction, SignedTable]
+_T = TypeVar("_T")
 
 Z_EXACT_CAP = 24
 # z_eliminate's bound on the elimination width, a guard on its time and
@@ -97,6 +98,23 @@ def _check_names(kind: str, names: Sequence[str]) -> None:
     for name in names:
         if not _NAME_OK.fullmatch(name):
             raise InstanceError(f"bad {kind} name {name!r}")
+
+
+def _unchecked(cls: type[_T], *values: object) -> _T:
+    """``cls(*values)`` without its ``__post_init__`` checks.
+
+    Public constructors check what enters the library.  A library step whose
+    output is valid by how the step builds it calls this instead; it passes
+    tuples, as ``__post_init__`` would have made them, and says why the checks
+    would pass.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip([f.name for f in fields(cls)], values, strict=True))
+    return obj
+
+
+def _first_use_order(constraints: Iterable[tuple[Sequence[str], str]]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(v for scope, _ in constraints for v in scope))
 
 
 @dataclass(frozen=True)
@@ -153,7 +171,7 @@ class CspInstance:
         reg_pairs = tuple(registry.items() if isinstance(registry, Mapping) else registry)
         cons = tuple((tuple(scope), name) for scope, name in constraints)
         if variables is None:
-            variables = tuple(dict.fromkeys(v for scope, _ in cons for v in scope))
+            variables = _first_use_order(cons)
         return cls(tuple(variables), reg_pairs, cons)
 
     def registry_map(self) -> dict[str, Table]:
@@ -232,8 +250,6 @@ def parse(text: str) -> CspInstance:
     registry: list[tuple[str, Table]] = []
     names: dict[str, Table] = {}
     constraints: list[tuple[tuple[str, ...], str]] = []
-    variables: list[str] = []
-    seen_vars: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -277,18 +293,24 @@ def parse(text: str) -> CspInstance:
                     f"scope has {len(scope)} variables but {name!r} has arity {names[name].arity}",
                     lineno,
                 )
-            for v in scope:
-                if v not in seen_vars:
-                    seen_vars.add(v)
-                    variables.append(v)
             constraints.append((scope, name))
         else:
             raise InstanceError(f"unknown directive {kind!r}", lineno)
-    return CspInstance(tuple(variables), tuple(registry), tuple(constraints))
+    # The line checks cover CspInstance's: every name is a token of a
+    # comment-free line split on whitespace, every function is declared once
+    # before use with the scope's arity, and the variables are the scopes'
+    # names, each once.
+    return _unchecked(CspInstance, _first_use_order(constraints), tuple(registry), tuple(constraints))
 
 
 def serialize(inst: Instance) -> str:
-    """Emit the line format; parse(serialize(x)) reproduces x for x without unused variables."""
+    """Emit the line format.
+
+    ``parse(serialize(x))`` equals x (``x.csp`` for a holant x) when every
+    variable of x is used and x lists its variables in first-use order, as
+    ``parse`` declares them.  Its tables must also read back as they are:
+    arity at least 1, and a negative entry in every ``SignedTable``.
+    """
     csp = _as_csp(inst)
     lines = []
     for name, fn in csp.registry:
@@ -571,8 +593,8 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
         for pos, v in enumerate(scope):
             slots[v].append((ci, pos))
     if all(len(s) == 2 for s in slots.values()):
-        holant = HolantInstance(csp)
-        return _certify(csp, holant, cap)
+        # Just counted: every variable fills two slots.
+        return _certify(csp, _unchecked(HolantInstance, csp), cap)
     eq_name = _fresh_fn_name("eq3", csp.registry_map(), EQ3)
     registry = list(csp.registry)
     if eq_name not in csp.registry_map():
@@ -606,8 +628,11 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
         new_scope = tuple(slot_names.get((ci, pos), v) for pos, v in enumerate(scope))
         constraints.append((new_scope, name))
     constraints += extra
-    holant = HolantInstance(CspInstance.build(tuple(registry), constraints))
-    return _certify(csp, holant, cap)
+    # Valid by construction from a valid csp: eq_name is fresh or names EQ3,
+    # junction names are a fresh prefix of a valid name plus digits, and each
+    # variable fills two slots.  Variables are inferred as CspInstance.build does.
+    out = _unchecked(CspInstance, _first_use_order(constraints), tuple(registry), tuple(constraints))
+    return _certify(csp, _unchecked(HolantInstance, out), cap)
 
 
 def _certify(csp: CspInstance, holant: HolantInstance, cap: Optional[int]) -> HolantConversion:

@@ -46,6 +46,7 @@ from .instances import (
     InstanceError,
     _as_csp,
     _fresh_name,
+    _unchecked,
     to_holant,
     z_eliminate,
 )
@@ -216,7 +217,10 @@ def lift_instance(inst: Instance) -> CspInstance:
         registry.append((lifted_name, sdp3_lift(fn)))
         for scope, _ in csp.constraints:
             constraints.append(((scope[0], scope[1], aux), lifted_name))
-    return CspInstance(csp.variables + (aux,), tuple(registry), tuple(constraints))
+    # Valid by construction from a valid csp: aux and lifted_name are fresh
+    # valid names, and every scope is two of its variables plus aux under the
+    # arity-3 lift.
+    return _unchecked(CspInstance, csp.variables + (aux,), tuple(registry), tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +283,10 @@ def holant_fourier_form(inst: Instance) -> FourierNormalForm:
     n_h = len(hol.variables)
     m_h = len(hol.constraints)
     kappa = Fraction(2) ** (3 * m_h - n_h) * constant
-    out = HolantInstance(CspInstance(hol.variables, tuple(registry), hol.constraints))
-    return FourierNormalForm(out, kappa, False)
+    # hol is a holant instance: only unused tables were dropped, and each
+    # kept one is replaced by an arity-3 table.
+    out = _unchecked(CspInstance, hol.variables, tuple(registry), hol.constraints)
+    return FourierNormalForm(_unchecked(HolantInstance, out), kappa, False)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,8 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
     first = dict(zip(reversed(filled), reversed(vertices)))
     last = dict(zip(filled, vertices))
     edges += [new_edge(Edge, (first[v], last[v], _ONE, "between_triangles")) for v in inst.variables]
-    return WeightedMultigraph(tuple(vertices), tuple(edges))
+    # Corner names c<ci>.<k> are distinct, and every edge joins two corners.
+    return _unchecked(WeightedMultigraph, tuple(vertices), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,10 @@ def test_holant_check_true_and_false(prism_file, tmp_path, capsys):
     single.write_text("fun f 2 2 1 1 2\ncon f x y\n")
     assert main(["holant-check", str(single), "--machine"]) == 0
     assert capsys.readouterr().out == "holant=false\n"
+    triple = tmp_path / "triple.csp"
+    triple.write_text("fun t 3 1 0 0 0 0 0 0 1\ncon t x x x\n")
+    assert main(["holant-check", str(triple), "--machine"]) == 0
+    assert capsys.readouterr().out == "holant=false\n"
 
 
 def test_triangle_graph_bytes(prism_file, capsys):
@@ -208,6 +212,15 @@ def test_triangle_graph_bytes(prism_file, capsys):
         "e c0.3 c1.3 1 between_triangles\n"
     )
     assert capsys.readouterr().out == expected
+
+
+def test_triangle_graph_rejects_non_holant(tmp_path, capsys):
+    path = tmp_path / "single.csp"
+    path.write_text("fun f 2 2 1 1 2\ncon f x y\n")
+    assert main(["triangle-graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a holant instance; occurrence counts off" in captured.err
 
 
 # ---------------------------------------------------------------------------

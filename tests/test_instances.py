@@ -19,6 +19,7 @@ from spincount.funcs import (
     CapacityError,
     PBFunction,
     SignedTable,
+    binary,
     unary,
 )
 from spincount.instances import (
@@ -36,7 +37,22 @@ from spincount.instances import (
     z_exact,
     z_product_type,
 )
-from helpers import rand_csp_instance, rand_function, rand_product_type
+from spincount.matching import (
+    Edge,
+    WeightedMultigraph,
+    build_triangle_graph,
+    holant_fourier_form,
+    lift_instance,
+)
+from helpers import (
+    rand_cp_binary,
+    rand_csp_instance,
+    rand_function,
+    rand_holant_instance,
+    rand_product_type,
+    rand_wtilde,
+    rand_wtilde_cp,
+)
 
 PRISM_TEXT = "fun xor3 3 1 0 0 1 0 1 1 0\ncon xor3 a b c\ncon xor3 a b c\n"
 
@@ -123,13 +139,24 @@ def test_build_rejects_every_whitespace_character():
         _assert_names_refused(f"x{c}y")
 
 
+UNUSUAL_NAMES = CspInstance.build(
+    {"f.lift": EQ3, "é": EQ}, [(("y.2", "x'", "été"), "f.lift"), (("x'", "x'"), "é")]
+)
+
+
 def test_parse_serialize_round_trip_unusual_names():
-    inst = CspInstance.build(
-        {"f.lift": EQ3, "é": EQ}, [(("y.2", "x'", "été"), "f.lift"), (("x'", "x'"), "é")]
-    )
-    back = parse(serialize(inst))
-    assert back == inst
-    assert serialize(back) == serialize(inst)
+    back = parse(serialize(UNUSUAL_NAMES))
+    assert back == UNUSUAL_NAMES
+    assert serialize(back) == serialize(UNUSUAL_NAMES)
+
+
+def test_parse_serialize_round_trip_needs_first_use_order():
+    """parse declares variables in first-use order, so x comes back equal only if it lists them so."""
+    listed_late = CspInstance.build({"e": EQ}, [(("a", "b"), "e")], variables=["b", "a"])
+    back = parse(serialize(listed_late))
+    assert back.variables == ("a", "b")
+    assert back != listed_late
+    assert back == CspInstance.build({"e": EQ}, [(("a", "b"), "e")])
 
 
 def test_holant_instance_enforces_two_occurrences():
@@ -342,29 +369,37 @@ def test_to_holant_degree_zero_doubles():
     assert len(folds) == 2 and all(s[1] == s[2] for s in folds)
 
 
+EQ3_TAKEN = CspInstance.build(
+    {"eq3": IMP},
+    [(("x", "y"), "eq3"), (("x", "y"), "eq3"), (("x", "y"), "eq3"), (("y", "x"), "eq3")],
+)
+
+
 def test_to_holant_avoids_name_collisions():
-    inst = CspInstance.build(
-        {"eq3": IMP},
-        [(("x", "y"), "eq3"), (("x", "y"), "eq3"), (("x", "y"), "eq3"), (("y", "x"), "eq3")],
-    )
-    conv = to_holant(inst)
+    conv = to_holant(EQ3_TAKEN)
     names = conv.holant.registry_map()
     assert names["eq3"] == IMP
     assert any(fn == EQ3 for fn in names.values())
     assert conv.verified is True
 
 
-def _holant_scopes(constraints):
-    inst = CspInstance.build({"u": unary(1, 2), "imp": IMP}, constraints)
+def _name_clash(constraints):
+    return CspInstance.build({"u": unary(1, 2), "imp": IMP}, constraints)
+
+
+def _holant_scopes(inst):
     return [scope for scope, _ in to_holant(inst).holant.constraints]
+
+
+TAKEN_DOTTED_PREFIX = _name_clash(
+    [(("x",), "u"), (("x",), "u"), (("x",), "u"),
+     (("x.eq.1", "x.eq.7.y"), "imp"), (("x.eq.7.y", "x.eq.1"), "imp")]
+)
 
 
 def test_to_holant_names_skip_taken_dotted_prefix():
     """x.eq.1 and x.eq.7.y both start with x.eq., so x's junctions move to x.eqq."""
-    scopes = _holant_scopes(
-        [(("x",), "u"), (("x",), "u"), (("x",), "u"),
-         (("x.eq.1", "x.eq.7.y"), "imp"), (("x.eq.7.y", "x.eq.1"), "imp")]
-    )
+    scopes = _holant_scopes(TAKEN_DOTTED_PREFIX)
     assert scopes == [
         ("x.eqq.1",), ("x.eqq.2",), ("x.eqq.3",),
         ("x.eq.1", "x.eq.7.y"), ("x.eq.7.y", "x.eq.1"),
@@ -372,29 +407,38 @@ def test_to_holant_names_skip_taken_dotted_prefix():
     ]
 
 
+DOTTED_BASE = _name_clash(
+    [(("a.b",), "u"), (("a", "a.b"), "imp"), (("a.b", "a"), "imp"), (("a",), "u")]
+)
+
+
 def test_to_holant_names_dotted_base():
-    scopes = _holant_scopes(
-        [(("a.b",), "u"), (("a", "a.b"), "imp"), (("a.b", "a"), "imp"), (("a",), "u")]
-    )
+    scopes = _holant_scopes(DOTTED_BASE)
     assert scopes == [
         ("a.b.eq.1",), ("a.eq.1", "a.b.eq.2"), ("a.b.eq.3", "a.eq.2"), ("a.eq.3",),
         ("a.b.eq.1", "a.b.eq.2", "a.b.eq.3"), ("a.eq.1", "a.eq.2", "a.eq.3"),
     ]
 
 
+UNDOTTED_NAME = _name_clash([(("x", "x.eq"), "imp"), (("x.eq", "x"), "imp"), (("x",), "u")])
+
+
 def test_to_holant_names_undotted_name_is_not_a_prefix():
     """A variable named x.eq does not start with x.eq., so x keeps that prefix."""
-    scopes = _holant_scopes([(("x", "x.eq"), "imp"), (("x.eq", "x"), "imp"), (("x",), "u")])
+    scopes = _holant_scopes(UNDOTTED_NAME)
     assert scopes == [
         ("x.eq.1", "x.eq"), ("x.eq", "x.eq.2"), ("x.eq.3",), ("x.eq.1", "x.eq.2", "x.eq.3"),
     ]
 
 
+GENERATED_EARLIER = _name_clash(
+    [(("x.eq",), "u"), (("x.eq", "x"), "imp"), (("x", "x.eq"), "imp"), (("x",), "u")]
+)
+
+
 def test_to_holant_names_generated_earlier_are_taken():
     """x.eq is converted first; its junction names x.eq.eq.* push x to x.eqq."""
-    scopes = _holant_scopes(
-        [(("x.eq",), "u"), (("x.eq", "x"), "imp"), (("x", "x.eq"), "imp"), (("x",), "u")]
-    )
+    scopes = _holant_scopes(GENERATED_EARLIER)
     assert scopes == [
         ("x.eq.eq.1",), ("x.eq.eq.2", "x.eqq.1"), ("x.eqq.2", "x.eq.eq.3"), ("x.eqq.3",),
         ("x.eq.eq.1", "x.eq.eq.2", "x.eq.eq.3"), ("x.eqq.1", "x.eqq.2", "x.eqq.3"),
@@ -439,6 +483,69 @@ def test_to_holant_rejects_signed():
     signed = parse("fun s 1 1 -1\ncon s x\n")
     with pytest.raises(InstanceError, match="signed"):
         to_holant(signed)
+
+
+# ---------------------------------------------------------------------------
+# derived objects
+
+
+def _checked(inst):
+    """inst rebuilt through the checked public constructors."""
+    csp = CspInstance(inst.variables, inst.registry, inst.constraints)
+    return HolantInstance(csp) if isinstance(inst, HolantInstance) else csp
+
+
+def _first_use(inst):
+    return CspInstance.build(inst.registry, inst.constraints).variables
+
+
+def test_derived_objects_equal_their_checked_rebuilds():
+    """parse and the reduction steps build their outputs unchecked; every output passes the checks."""
+    rng = random.Random(88)
+    ferro = binary(2, 1, 1, 2)
+    # The lift's names y.2 and f.lift are taken, so are eq3 (not EQ3) and
+    # to_holant's first prefix x.eq. for the hub x.
+    lift_inputs = [
+        CspInstance.build(
+            {"f": ferro, "f.lift": EQ3, "eq3": IMP},
+            [(("y", "y.2"), "f"), (("y.2", "x.eq.1"), "f"), (("x.eq.1", "y"), "f")],
+        ),
+        CspInstance.build(
+            {"f": ferro},
+            [(("x", "x.eq.1"), "f"), (("x.eq.7.y", "x"), "f"), (("x", "x"), "f")],
+            variables=["x.eq.7.y", "x", "free", "x.eq.1"],
+        ),
+    ]
+    lift_inputs += [
+        rand_csp_instance(rng, [rand_cp_binary(rng)], rng.randint(1, 4), rng.randint(1, 5))
+        for _ in range(20)
+    ]
+    sources = [UNUSUAL_NAMES, EQ3_TAKEN, TAKEN_DOTTED_PREFIX, DOTTED_BASE, UNDOTTED_NAME]
+    sources += [GENERATED_EARLIER] + lift_inputs
+    for _ in range(20):
+        funcs = [rand_function(rng, rng.randint(1, 3)) for _ in range(2)]
+        sources.append(rand_csp_instance(rng, funcs, rng.randint(1, 5), rng.randint(1, 6)))
+    holants = [rand_holant_instance(rng, rand_wtilde, rng.choice([2, 4, 6])) for _ in range(10)]
+    holants += [rand_holant_instance(rng, rand_wtilde_cp, rng.choice([2, 4])) for _ in range(10)]
+    for inst in sources + holants:
+        parsed = parse(serialize(inst))
+        assert parsed == _checked(parsed)
+        assert parsed.variables == _first_use(parsed)
+        holant = to_holant(inst).holant
+        assert holant == _checked(holant)
+        source = inst.csp if isinstance(inst, HolantInstance) else inst
+        if holant.csp is not source:  # converted, not passed through
+            assert holant.variables == _first_use(holant)
+    for inst in lift_inputs:
+        lifted = lift_instance(inst)
+        assert lifted == _checked(lifted)
+        form = holant_fourier_form(lifted)
+        if not form.is_zero:
+            assert form.holant == _checked(form.holant)
+            holants.append(form.holant)
+    for inst in holants:
+        g = build_triangle_graph(inst)
+        assert g == WeightedMultigraph(g.vertices, [Edge(*e) for e in g.edges])
 
 
 # ---------------------------------------------------------------------------
