@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("pinning", "pinning analysis of a finite function family", _cmd_pinning)
     p.add_argument("--fun", action="append", required=True, help="family member (repeatable)")
 
-    p = add("z-exact", "brute-force partition function of an instance file", _cmd_z_exact)
+    p = add("z-exact", "exact partition function of an instance file, by elimination", _cmd_z_exact)
     p.add_argument("file")
     p.add_argument("--cap", type=int, help="variable-count cap override")
 

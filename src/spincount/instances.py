@@ -15,9 +15,11 @@ Variables are declared implicitly on first use.  Negative values in a ``fun``
 line produce a signed table; signed registries are accepted only by
 ``z_exact`` and ``holographic_transform``.
 
-Brute-force evaluators take an optional cap on the variable count (default
-24 for ``z_exact``, 12 for ``near_assignment_total``).  ``z_eliminate`` is
-exact at any size whose elimination width is at most ``WIDTH_CAP``.
+``z_exact`` and ``near_assignment_total`` take an optional cap on the
+variable count (default 24 and 12).  ``z_exact`` answers by elimination and
+sums all assignments by brute force only when the elimination order is wider
+than ``WIDTH_CAP``; ``z_eliminate`` is exact at any size whose elimination
+width is at most ``WIDTH_CAP``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ Z_EXACT_CAP = 24
 # of 2**WIDTH_CAP entries, and each width above it doubles both.
 WIDTH_CAP = 12
 NEAR_CAP = 12
-# Conversion certificates are brute-force checked only below this size.
+# Conversion certificates are computed by z_exact only up to this size.
 _CERT_CAP = 12
 
 
@@ -325,17 +327,30 @@ def serialize(inst: Instance) -> str:
 # Exact evaluation
 
 
+def _factors(csp: CspInstance) -> list[tuple[Sequence[Fraction], list[int]]]:
+    """Each constraint as a (table, scope of variable indices) pair."""
+    index = {v: i for i, v in enumerate(csp.variables)}
+    names = csp.registry_map()
+    return [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
+
+
 def z_exact(inst: Instance, cap: Optional[int] = None) -> Fraction:
-    """Brute-force partition function; exact, signed registries allowed."""
+    """Partition function; exact, signed registries allowed.
+
+    An instance over more than ``cap`` variables (default ``Z_EXACT_CAP``)
+    raises CapacityError.  Within the cap this is ``z_eliminate``, or, where the
+    order is wider than ``WIDTH_CAP``, a sum over all 2**n assignments that
+    needs no elimination table.
+    """
     csp = _as_csp(inst)
     limit = Z_EXACT_CAP if cap is None else cap
     n = len(csp.variables)
     if n > limit:
-        raise CapacityError(f"{n} variables exceeds the brute-force cap {limit}")
-    index = {v: i for i, v in enumerate(csp.variables)}
-    names = csp.registry_map()
-    atoms = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
-    return _sum_product(0, n, atoms)[0]
+        raise CapacityError(f"{n} variables exceeds the z_exact cap {limit}")
+    try:
+        return z_eliminate(csp)
+    except CapacityError:  # raised by the order, before any table is built
+        return _sum_product(0, n, _factors(csp))[0]
 
 
 def _min_degree_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> list[int]:
@@ -383,9 +398,7 @@ def z_eliminate(inst: Instance) -> Fraction:
     """
     csp = _as_csp(inst)
     n = len(csp.variables)
-    index = {v: i for i, v in enumerate(csp.variables)}
-    names = csp.registry_map()
-    factors = [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
+    factors = _factors(csp)
     order = _min_degree_order(n, (scope for _, scope in factors), WIDTH_CAP)
     position = [0] * n
     for p, v in enumerate(order):
@@ -564,7 +577,7 @@ def _fresh_fn_name(base: str, registry: Mapping[str, Table], table: PBFunction) 
 
 @dataclass(frozen=True)
 class HolantConversion:
-    """A holant form of an instance plus a brute-force equality certificate.
+    """A holant form of an instance plus an exact equality certificate.
 
     The certificate is populated only at desk scale (both sides within the
     certificate cap); ``verified`` reports whether it was checked.

@@ -6,9 +6,11 @@ nothing here touches global RNG state.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from spincount.funcs import (
     PBFunction,
@@ -20,6 +22,24 @@ from spincount.funcs import (
 )
 from spincount.instances import CspInstance, HolantInstance
 from spincount.matching import sdp3_lift
+
+
+def brute_force_z(inst: Union[CspInstance, HolantInstance]) -> Fraction:
+    """The partition function by its definition: every assignment's product of
+    constraint values, summed.  An oracle that shares no code with the library."""
+    csp = inst.csp if isinstance(inst, HolantInstance) else inst
+    tables = dict(csp.registry)
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(csp.variables)):
+        x = dict(zip(csp.variables, bits))
+        total += math.prod(
+            (
+                tables[name].table[int("".join(str(x[v]) for v in scope) or "0", 2)]
+                for scope, name in csp.constraints
+            ),
+            start=Fraction(1),
+        )
+    return total
 
 
 def rand_fraction(rng: random.Random, max_num: int = 4, max_den: int = 3) -> Fraction:

@@ -22,6 +22,7 @@ from spincount.funcs import (
     binary,
     unary,
 )
+from spincount import instances
 from spincount.instances import (
     WIDTH_CAP,
     _min_degree_order,
@@ -45,6 +46,7 @@ from spincount.matching import (
     lift_instance,
 )
 from helpers import (
+    brute_force_z,
     rand_cp_binary,
     rand_csp_instance,
     rand_function,
@@ -217,7 +219,7 @@ def test_z_eliminate_matches_brute_force():
         funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 10), rng.randint(0, 12))
         signed += inst.has_signed()
-        assert z_eliminate(inst) == z_exact(inst)
+        assert z_eliminate(inst) == brute_force_z(inst)
     assert signed > 100
     assert z_eliminate(CspInstance((), (), ())) == 1
     assert z_eliminate(CspInstance(("x", "y"), (("e", EQ),), ((("x", "x"), "e"),))) == 4
@@ -247,17 +249,33 @@ def test_z_eliminate_long_ring_is_trace_of_matrix_power():
     assert z_eliminate(_ring(PBFunction.from_values(2, [a, b, c, d]), m)) == trace
 
 
-def test_z_eliminate_width_cap():
-    k = WIDTH_CAP + 2
-    clique = CspInstance.build(
+def _eq_clique(k: int) -> CspInstance:
+    return CspInstance.build(
         {"e": EQ}, [((f"v{i}", f"v{j}"), "e") for i in range(k) for j in range(i + 1, k)]
     )
+
+
+def test_z_eliminate_width_cap():
+    """Past the cap z_eliminate raises and z_exact sums by brute force."""
+    clique = _eq_clique(WIDTH_CAP + 2)
     with pytest.raises(CapacityError, match="width"):
         z_eliminate(clique)
-    below = CspInstance.build(
-        {"e": EQ}, [((f"v{i}", f"v{j}"), "e") for i in range(k - 1) for j in range(i + 1, k - 1)]
-    )
-    assert z_eliminate(below) == 2
+    assert z_exact(clique) == 2
+    assert z_eliminate(_eq_clique(WIDTH_CAP + 1)) == 2
+
+
+def test_z_exact_brute_force_fallback_matches_oracle(monkeypatch):
+    """With the width cap at 0, every instance with a two-variable scope is
+    summed by brute force."""
+    monkeypatch.setattr(instances, "WIDTH_CAP", 0)
+    rng = random.Random(552)
+    fell_back = 0
+    for _ in range(120):
+        funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        inst = rand_csp_instance(rng, funcs, rng.randint(1, 10), rng.randint(0, 12))
+        fell_back += any(len(set(scope)) > 1 for scope, _ in inst.constraints)
+        assert z_exact(inst) == brute_force_z(inst)
+    assert fell_back > 80
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 4000])

@@ -43,6 +43,7 @@ from spincount.matching import (
     serialize_graph,
 )
 from helpers import (
+    brute_force_z,
     rand_binary,
     rand_cp_binary,
     rand_csp_instance,
@@ -573,7 +574,7 @@ def test_estimate_z_fpras_random_exact_path(monkeypatch):
             f = rand_cp_binary(rng)
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
             cfg = EstimatorConfig(exact_cap=60)
-            assert estimate_z_fpras(f, inst, cfg) == z_exact(inst)
+            assert estimate_z_fpras(f, inst, cfg) == brute_force_z(inst)
 
 
 def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
@@ -590,7 +591,7 @@ def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
             # Width 0 sends every instance with a two-variable constraint down the pipeline.
             flipped += not in_cp(f) and any(len(set(scope)) == 2 for scope, _ in inst.constraints)
-            assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == z_exact(inst)
+            assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == brute_force_z(inst)
         assert flipped > 0
 
 
