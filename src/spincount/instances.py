@@ -392,9 +392,9 @@ def _min_degree_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> list
 def z_eliminate(inst: Instance) -> Fraction:
     """Partition function by bucket elimination along a greedy min-degree order.
 
-    Exact, signed registries allowed, and equal to ``z_exact`` wherever both
-    run.  Cost is about n * 2**(w + 1) table entries for elimination width w;
-    a width past ``WIDTH_CAP`` raises CapacityError before any table is built.
+    Exact, signed registries allowed.  Cost is about n * 2**(w + 1) table
+    entries for elimination width w; a width past ``WIDTH_CAP`` raises
+    CapacityError before any table is built.
     """
     csp = _as_csp(inst)
     n = len(csp.variables)

@@ -298,7 +298,7 @@ def test_z_product_type_matches_brute_force():
     for _ in range(60):
         funcs = [rand_product_type(rng, rng.randint(1, 3)) for _ in range(2)]
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 6), rng.randint(1, 5))
-        assert z_product_type(inst) == z_exact(inst)
+        assert z_product_type(inst) == brute_force_z(inst)
 
 
 def test_z_product_type_contradiction_is_zero():
@@ -492,9 +492,10 @@ def test_to_holant_random_preserves_z():
         funcs = [rand_function(rng, rng.randint(1, 3)) for _ in range(2)]
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 4), rng.randint(1, 5))
         conv = to_holant(inst)
-        assert z_exact(conv.holant.csp, cap=40) == z_exact(inst)
+        z = brute_force_z(inst)
+        assert z_exact(conv.holant.csp, cap=40) == z
         if conv.verified:
-            assert conv.z_source == conv.z_holant == z_exact(inst)
+            assert conv.z_source == conv.z_holant == z
 
 
 def test_to_holant_rejects_signed():
