@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .funcs import (
     DELTA0,
@@ -299,14 +299,15 @@ def _first_pair(f: PBFunction, accept) -> Optional[tuple[int, int]]:
 
 
 def _pin_identify_formula(
-    name: str, f: PBFunction, a: tuple[int, ...], b: tuple[int, ...], n_free: int
+    name: str, f: PBFunction, pair: tuple[int, int], n_free: int
 ) -> PpsFormula:
-    """h over n_free variables: coordinates where a and b differ read variable a[i].
+    """h over n_free variables: coordinates where the pair's points a and b differ read a[i].
 
     Coordinates where a and b agree are pinned.  With two free variables,
     (a=0, b=1) reads x and (a=1, b=0) reads y; with one and a <= b, every
     differing coordinate reads x.
     """
+    a, b = bits_of(pair[0], f.arity), bits_of(pair[1], f.arity)
     builder = _Builder(n_free)
     scope = []
     for i in range(f.arity):
@@ -335,9 +336,8 @@ def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
     witness = _first_pair(f, lambda a, b: t[a] * t[b] > t[a | b] * t[a & b])
     if witness is None:
         raise GadgetError("f is log-supermodular; no violating pair exists")
-    a, b = bits_of(witness[0], f.arity), bits_of(witness[1], f.arity)
     registry = {"f": f, "g": g, "delta0": DELTA0, "delta1": DELTA1}
-    f_prime_formula = _pin_identify_formula("f", f, a, b, 2)
+    f_prime_formula = _pin_identify_formula("f", f, witness, 2)
     f_prime = eval_pps(f_prime_formula, registry)
     if f_prime.table[0] != 0 or f_prime.table[3] != 0:
         result, route, formula = f_prime, "from_f", f_prime_formula
@@ -448,7 +448,6 @@ class PinningVerdict:
         return _base_registry(self.family)
 
     def __post_init__(self) -> None:
-        registry = self.registry()
         if self.tag is PinningTag.BOTH_UNARIES:
             if self.up is None or self.down is None:
                 raise GadgetError("BothUnaries needs both unaries")
@@ -458,81 +457,84 @@ class PinningVerdict:
                 raise GadgetError(f"down witness {self.down.table} is not strictly decreasing permissive")
             if self.up_formula is None or self.down_formula is None:
                 raise GadgetError("BothUnaries needs construction formulas")
+            registry = self.registry()
             _verify_formula(self.up_formula, registry, self.up, "pinning up witness")
             _verify_formula(self.down_formula, registry, self.down, "pinning down witness")
-        elif self.tag is PinningTag.MONOTONE_FAMILY:
-            if not all(is_monotone_on_support(f) for f in self.family):
-                raise GadgetError("MonotoneFamily needs every function monotone on its support")
-            if not all(is_support_join_closed(f) for f in self.family):
-                raise GadgetError("MonotoneFamily needs every support join-closed")
-            if self.witness_index is None or is_monotone_on_support(
-                bit_flip(self.family[self.witness_index])
-            ):
-                raise GadgetError("MonotoneFamily needs a witness whose flip is not monotone on support")
-        elif self.tag is PinningTag.FLIPPED_MONOTONE_FAMILY:
-            flipped = [bit_flip(f) for f in self.family]
-            if not all(is_monotone_on_support(f) for f in flipped):
-                raise GadgetError("FlippedMonotoneFamily needs every flipped function monotone on support")
-            if not all(is_support_join_closed(f) for f in flipped):
-                raise GadgetError("FlippedMonotoneFamily needs every flipped support join-closed")
-            if self.witness_index is None or is_monotone_on_support(self.family[self.witness_index]):
-                raise GadgetError("FlippedMonotoneFamily needs a witness not monotone on support")
         elif self.tag is PinningTag.ALL_PURE:
             for f in self.family:
                 pure, _ = pure_value(f)
                 if not pure:
                     raise GadgetError(f"AllPure verdict but {f.table} is not pure")
+        else:
+            # FlippedMonotoneFamily is MonotoneFamily of the bit-flipped family.
+            flipped = self.tag is PinningTag.FLIPPED_MONOTONE_FAMILY
+            family = [bit_flip(f) for f in self.family] if flipped else self.family
+            what = f"{self.tag.value} needs every {'flipped ' if flipped else ''}function"
+            if not all(is_monotone_on_support(f) for f in family):
+                raise GadgetError(f"{what} monotone on its support")
+            if not all(is_support_join_closed(f) for f in family):
+                raise GadgetError(f"{what} to have a join-closed support")
+            w = self.witness_index
+            if w is None or not 0 <= w < len(family) or is_monotone_on_support(bit_flip(family[w])):
+                raise GadgetError(f"{self.tag.value} needs a witness whose flip is not monotone on support")
 
 
-def _unary_on_chain(
-    name: str, f: PBFunction, accept
-) -> Optional[tuple[PBFunction, PpsFormula]]:
-    """The unary (f(a), f(b)) at the least pair a <= b with accept(f(a), f(b)), or None.
+def _unary_on_chain(i: int, f: PBFunction, accept) -> tuple[PBFunction, PpsFormula]:
+    """The unary (f(a), f(b)) at the least pair a <= b with accept(f(a), f(b)), named f{i}.
 
-    0 < f(a) < f(b) is found iff flip(f) is not monotone on its support, and
+    0 < f(a) < f(b) exists iff flip(f) is not monotone on its support, and
     f(a) > f(b) > 0 iff f is not.
     """
     t = f.table
     pair = _first_pair(f, lambda a, b: (a & b) == a and accept(t[a], t[b]))
-    if pair is None:
-        return None
-    a, b = bits_of(pair[0], f.arity), bits_of(pair[1], f.arity)
-    formula = _pin_identify_formula(name, f, a, b, 1)
-    return PBFunction(1, (t[pair[0]], t[pair[1]])), formula
+    assert pair is not None
+    return PBFunction(1, (t[pair[0]], t[pair[1]])), _pin_identify_formula(f"f{i}", f, pair, 1)
+
+
+def _one_bound(*grafts: tuple[PpsFormula, tuple[int, ...]]) -> PpsFormula:
+    """A unary formula in x = v0 with one bound y = v1, each subformula grafted on its map."""
+    builder = _Builder(1)
+    builder.fresh_bound()
+    for sub, free_map in grafts:
+        builder.graft(sub, free_map)
+    return builder.build()
+
+
+def _both_unaries(
+    case: int,
+    family: tuple[PBFunction, ...],
+    up: PBFunction,
+    up_formula: PpsFormula,
+    down: PBFunction,
+    down_formula: PpsFormula,
+) -> PinningVerdict:
+    return PinningVerdict(PinningTag.BOTH_UNARIES, case, family, up, down, up_formula, down_formula)
 
 
 def _case2(
-    family: Sequence[PBFunction], registry: Mapping[str, PBFunction]
-) -> tuple[str, object]:
-    """All functions mos, some flip not mos: monotone family or both unaries."""
+    family: Sequence[PBFunction],
+) -> Union[int, tuple[PBFunction, PpsFormula, PBFunction, PpsFormula]]:
+    """Every member monotone on its support, some flip not.
+
+    Returns the index of the first member whose flip is not monotone on its
+    support when every support is join-closed (a monotone family), else the
+    built (up, up_formula, down, down_formula).
+    """
+    wi = next(i for i, f in enumerate(family) if not is_monotone_on_support(bit_flip(f)))
     if all(is_support_join_closed(f) for f in family):
-        witness = next(
-            i for i, f in enumerate(family) if not is_monotone_on_support(bit_flip(f))
-        )
-        return "monotone", witness
-    up_built = next(
-        built
-        for i, f in enumerate(family)
-        if (built := _unary_on_chain(f"f{i}", f, lambda lo, hi: 0 < lo < hi)) is not None
-    )
-    up, up_formula = up_built
+        return wi
+    up, up_formula = _unary_on_chain(wi, family[wi], lambda lo, hi: 0 < lo < hi)
     gi, g = next((i, f) for i, f in enumerate(family) if not is_support_join_closed(f))
     t = g.table
     pair = _first_pair(g, lambda a, b: t[a] != 0 and t[b] != 0 and t[a | b] == 0)
     assert pair is not None
-    a, b = bits_of(pair[0], g.arity), bits_of(pair[1], g.arity)
-    h_formula = _pin_identify_formula(f"f{gi}", g, a, b, 2)
+    h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)
+    registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
     if h.table[1] == 0 or h.table[2] == 0 or h.table[3] != 0:
         raise GadgetError(f"join-gap gadget has unexpected shape {h.table}")
-    builder = _Builder(1)
-    y = builder.fresh_bound()
-    builder.graft(h_formula, (0, y))
-    builder.graft(h_formula, (y, 0))
-    builder.graft(up_formula, (y,))
-    down_formula = builder.build()
-    down = eval_pps(down_formula, registry)
-    return "both", (up, up_formula, down, down_formula)
+    down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (up_formula, (1,)))
+    return up, up_formula, eval_pps(down_formula, registry), down_formula
 
 
 def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
@@ -540,91 +542,43 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
 
     Either both a strictly increasing and a strictly decreasing
     permissive unary are constructed over the family with pins, or the
-    family is certified monotone, flipped-monotone, or all-pure.
+    family is certified monotone, flipped-monotone, or all-pure.  Case 3
+    is case 2 run on the bit-flipped family and read back through the flip.
     """
     family = tuple(family)
-    registry = _base_registry(family)
     mos = [is_monotone_on_support(f) for f in family]
     mos_flip = [is_monotone_on_support(bit_flip(f)) for f in family]
     if not all(mos) and not all(mos_flip):
-        fi = mos.index(False)
-        built_down = _unary_on_chain(f"f{fi}", family[fi], lambda lo, hi: lo > hi > 0)
-        gi = mos_flip.index(False)
-        built_up = _unary_on_chain(f"f{gi}", family[gi], lambda lo, hi: 0 < lo < hi)
-        assert built_down is not None and built_up is not None
-        down, down_formula = built_down
-        up, up_formula = built_up
-        return PinningVerdict(
-            PinningTag.BOTH_UNARIES,
-            1,
-            family,
-            up=up,
-            down=down,
-            up_formula=up_formula,
-            down_formula=down_formula,
-        )
-    if all(mos) and not all(mos_flip):
-        kind, payload = _case2(family, registry)
-        if kind == "monotone":
-            return PinningVerdict(
-                PinningTag.MONOTONE_FAMILY, 2, family, witness_index=payload
+        fi, gi = mos.index(False), mos_flip.index(False)
+        down, down_formula = _unary_on_chain(fi, family[fi], lambda lo, hi: lo > hi > 0)
+        up, up_formula = _unary_on_chain(gi, family[gi], lambda lo, hi: 0 < lo < hi)
+        return _both_unaries(1, family, up, up_formula, down, down_formula)
+    if all(mos) != all(mos_flip):
+        flipped = all(mos_flip)
+        case = 3 if flipped else 2
+        result = _case2(tuple(bit_flip(f) for f in family) if flipped else family)
+        if isinstance(result, int):
+            tag = PinningTag.FLIPPED_MONOTONE_FAMILY if flipped else PinningTag.MONOTONE_FAMILY
+            return PinningVerdict(tag, case, family, witness_index=result)
+        up, up_formula, down, down_formula = result
+        if flipped:
+            # Flipping swaps the slopes and the pins: delta0 <-> delta1.
+            up, up_formula, down, down_formula = (
+                bit_flip(down), _flip_deltas(down_formula), bit_flip(up), _flip_deltas(up_formula)
             )
-        up, up_formula, down, down_formula = payload
-        return PinningVerdict(
-            PinningTag.BOTH_UNARIES,
-            2,
-            family,
-            up=up,
-            down=down,
-            up_formula=up_formula,
-            down_formula=down_formula,
-        )
-    if all(mos_flip) and not all(mos):
-        flipped = tuple(bit_flip(f) for f in family)
-        kind, payload = _case2(flipped, _base_registry(flipped))
-        if kind == "monotone":
-            return PinningVerdict(
-                PinningTag.FLIPPED_MONOTONE_FAMILY, 3, family, witness_index=payload
-            )
-        up_p, up_p_formula, down_p, down_p_formula = payload
-        return PinningVerdict(
-            PinningTag.BOTH_UNARIES,
-            3,
-            family,
-            up=bit_flip(down_p),
-            down=bit_flip(up_p),
-            up_formula=_flip_deltas(down_p_formula),
-            down_formula=_flip_deltas(up_p_formula),
-        )
+        return _both_unaries(case, family, up, up_formula, down, down_formula)
     if all(pure_value(f)[0] for f in family):
         return PinningVerdict(PinningTag.ALL_PURE, 4, family)
     gi, g = next((i, f) for i, f in enumerate(family) if not pure_value(f)[0])
     t = g.table
     pair = _first_pair(g, lambda a, b: 0 < t[a] < t[b])
     assert pair is not None
-    a, b = bits_of(pair[0], g.arity), bits_of(pair[1], g.arity)
-    h_formula = _pin_identify_formula(f"f{gi}", g, a, b, 2)
+    h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)
+    registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
     if h.table[0] != 0 or h.table[3] != 0 or not 0 < h.table[1] < h.table[2]:
         raise GadgetError(f"pure-gap gadget has unexpected shape {h.table}")
-    up_builder = _Builder(1)
-    y = up_builder.fresh_bound()
-    up_builder.graft(h_formula, (0, y))
-    up_builder.graft(h_formula, (0, y))
-    up_builder.graft(h_formula, (y, 0))
-    up_formula = up_builder.build()
-    down_builder = _Builder(1)
-    y = down_builder.fresh_bound()
-    down_builder.graft(h_formula, (0, y))
-    down_builder.graft(h_formula, (y, 0))
-    down_builder.graft(h_formula, (y, 0))
-    down_formula = down_builder.build()
-    return PinningVerdict(
-        PinningTag.BOTH_UNARIES,
-        4,
-        family,
-        up=eval_pps(up_formula, registry),
-        down=eval_pps(down_formula, registry),
-        up_formula=up_formula,
-        down_formula=down_formula,
-    )
+    up_formula = _one_bound((h_formula, (0, 1)), (h_formula, (0, 1)), (h_formula, (1, 0)))
+    down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (h_formula, (1, 0)))
+    up, down = eval_pps(up_formula, registry), eval_pps(down_formula, registry)
+    return _both_unaries(4, family, up, up_formula, down, down_formula)

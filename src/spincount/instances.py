@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
     EQ3,
@@ -589,7 +589,7 @@ class HolantConversion:
     verified: bool
 
 
-def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
+def to_holant(inst: Instance) -> HolantConversion:
     """Rewire every variable to occur exactly twice, preserving the partition function.
 
     Degree-2 variables pass through.  A degree-d variable with d >= 3 is
@@ -601,22 +601,19 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
     csp = _as_csp(inst)
     if csp.has_signed():
         raise InstanceError("signed registries cannot be converted")
-    slots: dict[str, list[tuple[int, int]]] = {v: [] for v in csp.variables}
-    for ci, (scope, _) in enumerate(csp.constraints):
-        for pos, v in enumerate(scope):
-            slots[v].append((ci, pos))
-    if all(len(s) == 2 for s in slots.values()):
+    degrees = csp.degrees()
+    if all(d == 2 for d in degrees.values()):
         # Just counted: every variable fills two slots.
-        return _certify(csp, _unchecked(HolantInstance, csp), cap)
+        return _certify(csp, _unchecked(HolantInstance, csp))
     eq_name = _fresh_fn_name("eq3", csp.registry_map(), EQ3)
     registry = list(csp.registry)
     if eq_name not in csp.registry_map():
         registry.append((eq_name, EQ3))
-    slot_names: dict[tuple[int, int], str] = {}
+    # Each variable of degree >= 3 yields its end names in slot order.
+    renames: dict[str, Iterator[str]] = {}
     extra: list[tuple[tuple[str, ...], str]] = []
     taken = _dotted_prefixes(csp.variables)
-    for v, v_slots in slots.items():
-        d = len(v_slots)
+    for v, d in degrees.items():
         if d == 2:
             continue
         prefix = _fresh_prefix(v, taken)
@@ -630,29 +627,27 @@ def to_holant(inst: Instance, cap: Optional[int] = None) -> HolantConversion:
         else:
             ends = [f"{prefix}{i + 1}" for i in range(d)]
             link = [f"{prefix}{d + i}" for i in range(1, d - 2)]
-            for i, slot in enumerate(v_slots):
-                slot_names[slot] = ends[i]
+            renames[v] = iter(ends)
             for i in range(1, d - 1):
                 first = ends[0] if i == 1 else link[i - 2]
                 third = ends[d - 1] if i == d - 2 else link[i - 1]
                 extra.append(((first, ends[i], third), eq_name))
-    constraints = []
-    for ci, (scope, name) in enumerate(csp.constraints):
-        new_scope = tuple(slot_names.get((ci, pos), v) for pos, v in enumerate(scope))
-        constraints.append((new_scope, name))
+    constraints = [
+        (tuple(next(renames[v]) if v in renames else v for v in scope), name)
+        for scope, name in csp.constraints
+    ]
     constraints += extra
     # Valid by construction from a valid csp: eq_name is fresh or names EQ3,
     # junction names are a fresh prefix of a valid name plus digits, and each
     # variable fills two slots.  Variables are inferred as CspInstance.build does.
     out = _unchecked(CspInstance, _first_use_order(constraints), tuple(registry), tuple(constraints))
-    return _certify(csp, _unchecked(HolantInstance, out), cap)
+    return _certify(csp, _unchecked(HolantInstance, out))
 
 
-def _certify(csp: CspInstance, holant: HolantInstance, cap: Optional[int]) -> HolantConversion:
-    limit = min(Z_EXACT_CAP if cap is None else cap, _CERT_CAP)
-    if len(csp.variables) <= limit and len(holant.variables) <= limit:
-        z_src = z_exact(csp, limit)
-        z_hol = z_exact(holant.csp, limit)
+def _certify(csp: CspInstance, holant: HolantInstance) -> HolantConversion:
+    if len(csp.variables) <= _CERT_CAP and len(holant.variables) <= _CERT_CAP:
+        z_src = z_exact(csp)
+        z_hol = z_exact(holant.csp)
         assert z_src == z_hol, f"conversion changed the partition function: {z_src} != {z_hol}"
         return HolantConversion(holant, z_src, z_hol, True)
     return HolantConversion(holant, None, None, False)

@@ -240,6 +240,12 @@ class FourierNormalForm:
     is_zero: bool
 
 
+def _on_fourier_form(fn: PBFunction) -> bool:
+    """Arity 3, unit at zero and zero on odd weight: the tables the triangle gadget reads."""
+    t = fn.table
+    return fn.arity == 3 and t[0] == 1 and all(t[i] == 0 for i in (1, 2, 4, 7))
+
+
 def holant_fourier_form(inst: Instance) -> FourierNormalForm:
     """Convert an arity-3 instance to a holant one over normalized Fourier tables.
 
@@ -276,8 +282,7 @@ def holant_fourier_form(inst: Instance) -> FourierNormalForm:
         coeffs = fourier(fn).table
         c = coeffs[0]
         normalized = PBFunction(3, tuple(v / c for v in coeffs))
-        assert normalized.table[0] == 1
-        assert all(normalized.table[i] == 0 for i in (1, 2, 4, 7))
+        assert _on_fourier_form(normalized)
         registry.append((name, normalized))
         constant *= c ** count
     n_h = len(hol.variables)
@@ -306,7 +311,7 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
     # Each table's form is checked once; a constraint only looks its name up.
     weights: dict[str, Optional[tuple[Fraction, Fraction, Fraction]]] = {}
     for name, fn in inst.registry_map().items():
-        on_form = fn.arity == 3 and fn.table[0] == 1 and all(fn.table[i] == 0 for i in (1, 2, 4, 7))
+        on_form = _on_fourier_form(fn)
         weights[name] = (fn.table[0b110], fn.table[0b101], fn.table[0b011]) if on_form else None
     # Edges skip Edge's per-edge check: the per-table check above covers it.
     # With signed registries refused, every weight is an entry of a

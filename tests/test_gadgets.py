@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -223,6 +225,127 @@ def test_pinning_random_verdicts_self_verify():
         verdict = pinning_analysis(family)
         tags.add(verdict.tag)
     assert PinningTag.BOTH_UNARIES in tags
+
+
+def _verdict_record(verdict) -> str:
+    formula = lambda p: None if p is None else serialize_pps(p)
+    table = lambda u: None if u is None else u.table
+    return repr(
+        (
+            verdict.tag.value,
+            verdict.case,
+            table(verdict.up),
+            table(verdict.down),
+            formula(verdict.up_formula),
+            formula(verdict.down_formula),
+            verdict.witness_index,
+        )
+    )
+
+
+def test_pinning_outputs_are_frozen():
+    """Full verdicts, formulas included, over seeded random families hash to a fixed digest.
+
+    Arity 1-4, 0-3 members, supports from dense to sparse; every (tag, case)
+    outcome occurs, BothUnaries in all four cases.
+    """
+    rng = random.Random(1000)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for _ in range(3000):
+        zero_weight = rng.randint(0, 3)
+        family = [
+            rand_function(rng, rng.randint(1, 4), zero_weight) for _ in range(rng.randint(0, 3))
+        ]
+        verdict = pinning_analysis(family)
+        outcomes.add((verdict.tag, verdict.case))
+        digest.update(repr([f.table for f in family]).encode())
+        digest.update(_verdict_record(verdict).encode() + b"\n")
+    assert outcomes == {
+        (PinningTag.BOTH_UNARIES, 1),
+        (PinningTag.BOTH_UNARIES, 2),
+        (PinningTag.BOTH_UNARIES, 3),
+        (PinningTag.BOTH_UNARIES, 4),
+        (PinningTag.MONOTONE_FAMILY, 2),
+        (PinningTag.FLIPPED_MONOTONE_FAMILY, 3),
+        (PinningTag.ALL_PURE, 4),
+    }
+    assert digest.hexdigest() == (
+        "5c81c7c64d0f7dd199521bdef14aa8db89a4406d7e72e056c38f40b3eb334ddd"
+    )
+
+
+_BOTH = pinning_analysis([unary(1, 2), unary(2, 1)])
+_MONOTONE = pinning_analysis([binary(1, 2, 3, 4)])
+_FLIPPED = pinning_analysis([unary(2, 1)])
+_PURE = pinning_analysis([IMP])
+# Monotone on its support, and so is its flip, but the support {01, 10} misses 11.
+_GAP = binary(0, 1, 1, 0)
+
+
+def test_pinning_verdict_fixtures_are_valid():
+    assert [v.tag for v in (_BOTH, _MONOTONE, _FLIPPED, _PURE)] == [
+        PinningTag.BOTH_UNARIES,
+        PinningTag.MONOTONE_FAMILY,
+        PinningTag.FLIPPED_MONOTONE_FAMILY,
+        PinningTag.ALL_PURE,
+    ]
+    for verdict in (_BOTH, _MONOTONE, _FLIPPED, _PURE):
+        assert dataclasses.replace(verdict) == verdict
+
+
+@pytest.mark.parametrize(
+    "verdict, changes",
+    [
+        (_BOTH, {"up": None}),
+        (_BOTH, {"down": None}),
+        (_BOTH, {"up": unary(2, 1)}),
+        (_BOTH, {"down": unary(1, 2)}),
+        (_BOTH, {"up_formula": None}),
+        (_BOTH, {"down_formula": None}),
+        (_BOTH, {"up": unary(1, 3)}),
+        (_BOTH, {"down_formula": _BOTH.up_formula}),
+        (_MONOTONE, {"family": (binary(1, 2, 3, 4), unary(2, 1))}),
+        (_MONOTONE, {"family": (binary(1, 2, 3, 4), _GAP)}),
+        (_MONOTONE, {"witness_index": None}),
+        (_MONOTONE, {"family": (binary(1, 2, 3, 4), unary(1, 1)), "witness_index": 1}),
+        (_MONOTONE, {"witness_index": 1}),
+        (_MONOTONE, {"witness_index": -1}),
+        (_FLIPPED, {"family": (unary(2, 1), unary(1, 2))}),
+        (_FLIPPED, {"family": (unary(2, 1), _GAP)}),
+        (_FLIPPED, {"witness_index": None}),
+        (_FLIPPED, {"family": (unary(2, 1), unary(1, 1)), "witness_index": 1}),
+        (_FLIPPED, {"witness_index": 1}),
+        (_FLIPPED, {"witness_index": -1}),
+        (_PURE, {"family": (IMP, unary(1, 2))}),
+    ],
+    ids=[
+        "both-missing-up",
+        "both-missing-down",
+        "both-up-not-increasing",
+        "both-down-not-decreasing",
+        "both-missing-up-formula",
+        "both-missing-down-formula",
+        "both-up-not-its-formula",
+        "both-down-not-its-formula",
+        "monotone-member-not-monotone",
+        "monotone-support-not-join-closed",
+        "monotone-no-witness",
+        "monotone-witness-flip-monotone",
+        "monotone-witness-out-of-range",
+        "monotone-witness-negative",
+        "flipped-member-not-flipped-monotone",
+        "flipped-support-not-join-closed",
+        "flipped-no-witness",
+        "flipped-witness-monotone",
+        "flipped-witness-out-of-range",
+        "flipped-witness-negative",
+        "pure-member-not-pure",
+    ],
+)
+def test_pinning_verdict_rejects(verdict, changes):
+    with pytest.raises(GadgetError):
+        dataclasses.replace(verdict, **changes)
 
 
 def test_pinning_empty_family_is_vacuously_pure():
