@@ -192,7 +192,7 @@ def _cmd_pinning(args: argparse.Namespace) -> int:
 
 def _cmd_z_exact(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
-    z = z_exact(inst, cap=args.cap)
+    z = z_exact(inst)
     if args.machine:
         _emit([("z", str(z))], True)
     else:
@@ -281,9 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("z-exact", "exact partition function of an instance file, by elimination", _cmd_z_exact)
     p.add_argument("file")
-    p.add_argument("--cap", type=int, help="variable-count cap override")
 
-    p = add("z-estimate", "partition-function estimate, exact below the width cap", _cmd_z_estimate)
+    p = add("z-estimate", "Z estimate, exact within the z-exact budget", _cmd_z_estimate)
     p.add_argument("file")
     p.add_argument("--epsilon", default="1/10", help="accuracy target, a rational")
     p.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,7 @@ are rejected at the door.
 
 Every sum of products is evaluated by ``_sum_product``, the one place where
 evaluation reads the table layout: the clone operations below,
-``instances.z_eliminate``, ``instances.z_exact`` and ``gadgets.eval_pps``.
+``instances.z_exact`` and ``gadgets.eval_pps``.
 """
 
 from __future__ import annotations

@@ -15,11 +15,10 @@ Variables are declared implicitly on first use.  Negative values in a ``fun``
 line produce a signed table; signed registries are accepted only by
 ``z_exact`` and ``holographic_transform``.
 
-``z_exact`` and ``near_assignment_total`` take an optional cap on the
-variable count (default 24 and 12).  ``z_exact`` answers by elimination and
-sums all assignments by brute force only when the elimination order is wider
-than ``WIDTH_CAP``; ``z_eliminate`` is exact at any size whose elimination
-width is at most ``WIDTH_CAP``.
+``z_exact`` answers by bucket elimination at any size whose plan is predicted
+to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
+before building any table past it.  ``near_assignment_total`` takes an
+optional cap on the variable count (default 12).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from .funcs import (
 )
 
 __all__ = [
-    "Z_EXACT_CAP",
-    "WIDTH_CAP",
+    "ELIMINATION_BUDGET",
     "NEAR_CAP",
     "InstanceError",
     "Table",
@@ -53,7 +51,6 @@ __all__ = [
     "parse",
     "serialize",
     "z_exact",
-    "z_eliminate",
     "z_product_type",
     "HolantConversion",
     "to_holant",
@@ -64,12 +61,11 @@ __all__ = [
 Table = Union[PBFunction, SignedTable]
 _T = TypeVar("_T")
 
-Z_EXACT_CAP = 24
-# z_eliminate's bound on the elimination width, a guard on its time and
-# memory rather than a crossover with the matching chain: one elimination step
-# at the cap sums 2**(WIDTH_CAP + 1) products per bucket factor into a table
-# of 2**WIDTH_CAP entries, and each width above it doubles both.
-WIDTH_CAP = 12
+# z_exact's bound on the products its elimination plan predicts, a time guard:
+# at 0.4-1.6 us per product (2 cores, Python 3.11; cliques to grids), a plan at
+# the budget runs in 2-7 s.  A step costs at least twice its table's size, so
+# no table holds more than ELIMINATION_BUDGET / 2 entries.
+ELIMINATION_BUDGET = 1 << 22
 NEAR_CAP = 12
 # Conversion certificates are computed by z_exact only up to this size.
 _CERT_CAP = 12
@@ -334,94 +330,77 @@ def _factors(csp: CspInstance) -> list[tuple[Sequence[Fraction], list[int]]]:
     return [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
 
 
-def z_exact(inst: Instance, cap: Optional[int] = None) -> Fraction:
-    """Partition function; exact, signed registries allowed.
-
-    An instance over more than ``cap`` variables (default ``Z_EXACT_CAP``)
-    raises CapacityError.  Within the cap this is ``z_eliminate``, or, where the
-    order is wider than ``WIDTH_CAP``, a sum over all 2**n assignments that
-    needs no elimination table.
-    """
-    csp = _as_csp(inst)
-    limit = Z_EXACT_CAP if cap is None else cap
-    n = len(csp.variables)
-    if n > limit:
-        raise CapacityError(f"{n} variables exceeds the z_exact cap {limit}")
-    try:
-        return z_eliminate(csp)
-    except CapacityError:  # raised by the order, before any table is built
-        return _sum_product(0, n, _factors(csp))[0]
-
-
-def _min_degree_order(n: int, scopes: Iterable[Sequence[int]], cap: int) -> list[int]:
-    """Greedy min-degree elimination order of the primal graph.
+def _elimination_plan(
+    n: int, scopes: Sequence[Sequence[int]], budget: int
+) -> list[tuple[int, list[int], list[int]]]:
+    """Bucket-elimination plan along a greedy min-degree order of the primal graph.
 
     The primal graph joins every two distinct variables that share a scope.
-    Each step eliminates a variable with the fewest neighbours (ties: lower
+    Each step eliminates a variable v with the fewest neighbours (ties: lower
     index) and joins those neighbours; heap entries whose degree has since
-    changed are skipped.  The width is the most neighbours any variable has
-    when it is eliminated; past ``cap`` this raises CapacityError at once.
+    changed are skipped.  Atoms are the scopes, then one message per step.
+    Each atom goes to the bucket of its first eliminated variable; v's message
+    spans its neighbours, which are exactly its bucket's other variables.
+
+    Returns (v, bucket atom indices, message variables) per step.  A bucket of
+    a atoms and w free variables takes a * 2**(w + 1) products; past ``budget``
+    in total this raises CapacityError, before any table is built.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
-    for scope in scopes:
+    pending: list[list[int]] = [[] for _ in range(n)]
+    for atom, scope in enumerate(scopes):
         distinct = set(scope)
         for v in distinct:
             adj[v] |= distinct
+            pending[v].append(atom)
     for v in range(n):
         adj[v].discard(v)
+    placed: set[int] = set()
     heap = [(len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
     done = [False] * n
-    order: list[int] = []
+    plan: list[tuple[int, list[int], list[int]]] = []
+    cost = 0
     while heap:
         d, v = heapq.heappop(heap)
         if done[v] or d != len(adj[v]):
             continue
-        if d > cap:
-            raise CapacityError(f"elimination width {d} exceeds the width cap {cap}")
         done[v] = True
-        order.append(v)
+        bucket = [atom for atom in pending[v] if atom not in placed]
+        placed.update(bucket)
+        cost += len(bucket) << (d + 1)
+        if cost > budget:
+            raise CapacityError(f"elimination needs {cost}+ products (width {d}), past {budget}")
+        message = len(scopes) + len(plan)
         nbrs, adj[v] = adj[v], set()
         for w in nbrs:
             adj[w] |= nbrs
             adj[w] -= {v, w}
+            pending[w].append(message)
             heapq.heappush(heap, (len(adj[w]), w))
-    return order
+        plan.append((v, bucket, list(nbrs)))
+    return plan
 
 
-def z_eliminate(inst: Instance) -> Fraction:
-    """Partition function by bucket elimination along a greedy min-degree order.
+def z_exact(inst: Instance) -> Fraction:
+    """Partition function by bucket elimination along ``_elimination_plan``.
 
-    Exact, signed registries allowed.  Cost is about n * 2**(w + 1) table
-    entries for elimination width w; a width past ``WIDTH_CAP`` raises
-    CapacityError before any table is built.
+    Exact, signed registries allowed.  A plan predicted to take more than
+    ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
+    built.
     """
     csp = _as_csp(inst)
-    n = len(csp.variables)
-    factors = _factors(csp)
-    order = _min_degree_order(n, (scope for _, scope in factors), WIDTH_CAP)
-    position = [0] * n
-    for p, v in enumerate(order):
-        position[v] = p
-    buckets: list[list[tuple[Sequence[Fraction], Sequence[int]]]] = [[] for _ in range(n)]
-    total = Fraction(1)
-    for table, scope in factors:
-        if scope:
-            buckets[min(position[u] for u in scope)].append((table, scope))
-        else:
-            total *= table[0]
-    for p, v in enumerate(order):
+    atoms = _factors(csp)
+    plan = _elimination_plan(len(csp.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
+    total = math.prod((table[0] for table, scope in atoms if not scope), start=Fraction(1))
+    for v, bucket, free in plan:
         # The bucket's product summed over v: free variables first, v bound.
-        atoms = buckets[p]
-        free = [u for u in dict.fromkeys(u for _, scope in atoms for u in scope) if u != v]
         local = {u: i for i, u in enumerate(free)}
         local[v] = len(free)
-        table = _sum_product(
-            len(free), len(free) + 1, [(t, [local[u] for u in scope]) for t, scope in atoms]
-        )
-        if free:
-            buckets[min(position[u] for u in free)].append((table, free))
-        else:
+        bucket_atoms = [(atoms[a][0], [local[u] for u in atoms[a][1]]) for a in bucket]
+        table = _sum_product(len(free), len(free) + 1, bucket_atoms)
+        atoms.append((table, free))
+        if not free:
             total *= table[0]
     return total
 
@@ -580,7 +559,8 @@ class HolantConversion:
     """A holant form of an instance plus an exact equality certificate.
 
     The certificate is populated only at desk scale (both sides within the
-    certificate cap); ``verified`` reports whether it was checked.
+    certificate cap and ``z_exact``'s budget); ``verified`` reports whether it
+    was checked.
     """
 
     holant: HolantInstance
@@ -646,8 +626,10 @@ def to_holant(inst: Instance) -> HolantConversion:
 
 def _certify(csp: CspInstance, holant: HolantInstance) -> HolantConversion:
     if len(csp.variables) <= _CERT_CAP and len(holant.variables) <= _CERT_CAP:
-        z_src = z_exact(csp)
-        z_hol = z_exact(holant.csp)
+        try:
+            z_src, z_hol = z_exact(csp), z_exact(holant.csp)
+        except CapacityError:  # past the elimination budget: no certificate
+            return HolantConversion(holant, None, None, False)
         assert z_src == z_hol, f"conversion changed the partition function: {z_src} != {z_hol}"
         return HolantConversion(holant, z_src, z_hol, True)
     return HolantConversion(holant, None, None, False)
@@ -719,7 +701,7 @@ def near_assignment_total(inst: HolantInstance, cap: Optional[int] = None) -> Fr
     for i in range(n):
         for j in range(i + 1, n):
             split = _split_pair(csp, csp.variables[i], csp.variables[j], neq_name, registry)
-            total += z_exact(split, n + 2)
+            total += z_exact(split)
     return total
 
 

@@ -9,9 +9,9 @@ partition function, and count perfect matchings either exactly
 Markov chain telescoped over vertex removals.  The chain runs on the weighted
 graph and simulates only the steps that change its state; ``integerize``
 (weights cleared into parallel unit edges) defines its law but is never built.
-``estimate_z_fpras`` runs the pipeline only on instances whose elimination
-width exceeds ``instances.WIDTH_CAP``; narrower ones are summed exactly by
-``instances.z_eliminate``.
+``estimate_z_fpras`` answers exactly by ``instances.z_exact`` whenever its
+elimination budget allows, and runs the pipeline only past it, and only when
+the chain's predicted time is within ``CHAIN_BUDGET_S``.
 
 All counts and estimates are exact rationals; floats and randomness enter only
 through the chain's sampling law, and a fixed config seed fixes the estimate.
@@ -48,12 +48,13 @@ from .instances import (
     _fresh_name,
     _unchecked,
     to_holant,
-    z_eliminate,
+    z_exact,
 )
 
 __all__ = [
     "EDGE_LABELS",
     "EXACT_CAP",
+    "CHAIN_BUDGET_S",
     "Edge",
     "WeightedMultigraph",
     "serialize_graph",
@@ -77,6 +78,11 @@ EXACT_CAP = 30
 # _SAMPLE_COEFF scales the perfect samples kept per telescoping level.
 _STEPS_COEFF = 2
 _SAMPLE_COEFF = 2
+# estimate_pm at epsilon 1/10 took 93 s on a 138-vertex triangle graph (2 cores,
+# Python 3.11), growing about as the vertex count cubed and epsilon**-2 (its
+# sample target).  estimate_z_fpras refuses a chain predicted past CHAIN_BUDGET_S.
+_CHAIN_S_PER_VERTEX_CUBED = 93 / 138**3
+CHAIN_BUDGET_S = 600
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -660,11 +666,13 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
 def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fraction:
     """Partition-function estimate for an instance over one binary f.
 
-    f or its bit flip must have nonnegative Fourier coefficients.  An instance
-    whose elimination width is at most ``WIDTH_CAP`` is answered exactly by
-    ``z_eliminate``.  A wider one runs the pipeline, on the flipped instance
-    (same Z) when only the bit flip is nonnegative: ``estimate_pm`` supplies
-    the matching count and all tracked constants are multiplied back exactly.
+    f or its bit flip must have nonnegative Fourier coefficients.  The answer
+    is ``z_exact`` unless that raises CapacityError.  Past its budget the
+    pipeline runs, on the flipped instance (same Z) when only the bit flip is
+    nonnegative: ``estimate_pm`` supplies the matching count and all tracked
+    constants are multiplied back exactly.  A triangle graph whose chain is
+    predicted to take over ``CHAIN_BUDGET_S`` seconds raises CapacityError
+    before the chain starts.
     """
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
@@ -680,9 +688,9 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
             "regime applies instead"
         )
     try:
-        return z_eliminate(csp)
-    except CapacityError:
-        pass  # wider than WIDTH_CAP: sample
+        return z_exact(csp)
+    except CapacityError as exc:
+        too_costly = str(exc)
     if not in_cp(f):
         # Flipping every spin maps f to bit_flip(f) in each constraint and keeps Z.
         used = {name for _, name in csp.constraints}
@@ -694,4 +702,10 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         return _ZERO
     assert form.holant is not None
     graph = build_triangle_graph(form.holant)
+    n = len(graph.vertices)
+    seconds = _CHAIN_S_PER_VERTEX_CUBED * n**3 / float(10 * cfg.epsilon) ** 2
+    if seconds > CHAIN_BUDGET_S:
+        raise CapacityError(
+            f"{too_costly}; the chain on {n} vertices needs ~{seconds:.3g} s, past {CHAIN_BUDGET_S}"
+        )
     return form.kappa / 2 * estimate_pm(graph, cfg)

@@ -24,6 +24,13 @@ from spincount.instances import CspInstance, HolantInstance
 from spincount.matching import sdp3_lift
 
 
+def clique_instance(fn: PBFunction, k: int) -> CspInstance:
+    """The complete graph K_k with the binary fn, named f, on every pair."""
+    return CspInstance.build(
+        {"f": fn}, [((f"v{i}", f"v{j}"), "f") for i in range(k) for j in range(i + 1, k)]
+    )
+
+
 def brute_force_z(inst: Union[CspInstance, HolantInstance]) -> Fraction:
     """The partition function by its definition: every assignment's product of
     constraint values, summed.  An oracle that shares no code with the library."""

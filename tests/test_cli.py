@@ -10,7 +10,9 @@ import pytest
 
 from spincount import instances
 from spincount.cli import main, parse_function_literal
-from spincount.funcs import PBFunction, SignedTable
+from spincount.funcs import PBFunction, SignedTable, binary
+from spincount.instances import serialize
+from helpers import clique_instance
 
 FERRO = "fun f 2 2 1 1 2\ncon f x y\ncon f y z\ncon f z x\n"
 PRISM = "fun xor3 3 1 0 0 1 0 1 1 0\ncon xor3 a b c\ncon xor3 a b c\n"
@@ -161,7 +163,7 @@ def test_z_estimate_matches_z_exact_bytes(ferro_file, capsys):
 
 
 def test_z_estimate_sampling_path_stays_close(ferro_file, capsys, monkeypatch):
-    monkeypatch.setattr(instances, "WIDTH_CAP", 0)  # send the 3-cycle down the chain
+    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 0)  # send the 3-cycle down the chain
     assert main(["z-estimate", ferro_file, "--exact-cap", "6", "--seed", "3"]) == 0
     value = Fraction(capsys.readouterr().out.strip())
     assert Fraction(9, 10) * 28 <= value <= Fraction(11, 10) * 28
@@ -171,8 +173,8 @@ def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys, monkeypatch):
     """binary(1, 1, 1, 4) is tagged FPRAS but has negative Fourier coefficients."""
     path = tmp_path / "ring1114.csp"
     path.write_text("fun g 2 1 1 1 4\n" + "".join(f"con g x{i} x{(i + 1) % 4}\n" for i in range(4)))
-    for width_cap in (instances.WIDTH_CAP, 0):
-        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+    for budget in (instances.ELIMINATION_BUDGET, 0):
+        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
         assert main(["z-estimate", str(path)]) == 0
         assert capsys.readouterr().out == "343\n"
 
@@ -242,8 +244,14 @@ def test_exit_code_on_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_exit_code_on_capacity(ferro_file, capsys):
-    assert main(["z-exact", ferro_file, "--cap", "1"]) == 3
+def _clique_file(tmp_path, k: int) -> str:
+    path = tmp_path / f"k{k}.csp"
+    path.write_text(serialize(clique_instance(binary(2, 1, 1, 2), k)))
+    return str(path)
+
+
+def test_exit_code_on_capacity(tmp_path, capsys):
+    assert main(["z-exact", _clique_file(tmp_path, 18)]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -286,3 +294,25 @@ def test_z_estimate_long_ring_is_exact_without_networkx(tmp_path):
     code, seconds, loaded = out.stderr.split()
     assert code == "0" and loaded == "False"
     assert float(seconds) < 1.0
+
+
+def test_z_estimate_refuses_k18_before_the_chain(tmp_path):
+    """K_18 is past the elimination budget and its 1722-vertex chain is predicted to
+    take hours: exit 3 at once, naming both predictions, without loading networkx."""
+    code = (
+        "import sys, time\n"
+        "from spincount.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['z-estimate', sys.argv[1]])\n"
+        "print(code, time.perf_counter() - start, 'networkx' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, _clique_file(tmp_path, 18)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, seconds, loaded = out.stdout.split()
+    assert code == "3" and loaded == "False"
+    assert float(seconds) <= 2.0
+    assert "products" in out.stderr and "1722 vertices" in out.stderr

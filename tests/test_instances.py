@@ -24,8 +24,7 @@ from spincount.funcs import (
 )
 from spincount import instances
 from spincount.instances import (
-    WIDTH_CAP,
-    _min_degree_order,
+    _elimination_plan,
     CspInstance,
     HolantInstance,
     InstanceError,
@@ -34,7 +33,6 @@ from spincount.instances import (
     parse,
     serialize,
     to_holant,
-    z_eliminate,
     z_exact,
     z_product_type,
 )
@@ -47,6 +45,7 @@ from spincount.matching import (
 )
 from helpers import (
     brute_force_z,
+    clique_instance,
     rand_cp_binary,
     rand_csp_instance,
     rand_function,
@@ -182,13 +181,12 @@ def test_z_exact_counts_free_variables():
 
 
 def test_z_exact_cap():
-    big = CspInstance.build({"e": EQ}, [((f"v{i}", f"v{i + 1}"), "e") for i in range(25)])
-    with pytest.raises(CapacityError):
-        z_exact(big)
-    chain = CspInstance.build({"e": EQ}, [((f"v{i}", f"v{i + 1}"), "e") for i in range(3)])
-    with pytest.raises(CapacityError):
-        z_exact(chain, cap=3)
-    assert z_exact(chain, cap=4) == 2
+    """The budget counts predicted products, not variables: long narrow inputs are exact."""
+    chain = CspInstance.build({"e": EQ}, [((f"v{i}", f"v{i + 1}"), "e") for i in range(25)])
+    assert len(chain.variables) == 26
+    assert z_exact(chain) == 2
+    ring = _ring(PBFunction.from_values(2, [2, 1, 1, 2]), 30)
+    assert z_exact(ring) == 3**30 + 1
 
 
 def test_z_exact_handles_signed_registries():
@@ -219,10 +217,13 @@ def test_z_eliminate_matches_brute_force():
         funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 10), rng.randint(0, 12))
         signed += inst.has_signed()
-        assert z_eliminate(inst) == brute_force_z(inst)
+        assert z_exact(inst) == brute_force_z(inst)
     assert signed > 100
-    assert z_eliminate(CspInstance((), (), ())) == 1
-    assert z_eliminate(CspInstance(("x", "y"), (("e", EQ),), ((("x", "x"), "e"),))) == 4
+    assert z_exact(CspInstance((), (), ())) == 1
+    assert z_exact(CspInstance(("x", "y"), (("e", EQ),), ((("x", "x"), "e"),))) == 4
+    constant = PBFunction(0, (Fraction(3),))
+    nullary = CspInstance.build({"c": constant, "e": EQ}, [((), "c"), (("x", "y"), "e"), ((), "c")])
+    assert z_exact(nullary) == brute_force_z(nullary) == 18
 
 
 def test_z_eliminate_matches_product_type_oracle():
@@ -232,12 +233,12 @@ def test_z_eliminate_matches_product_type_oracle():
         n_vars = 20 if i == 50 else 17 if i == 75 else rng.randint(1, 8)
         funcs = [rand_product_type(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         inst = rand_csp_instance(rng, funcs, n_vars, rng.randint(1, 6))
-        assert z_eliminate(inst) == z_product_type(inst)
+        assert z_exact(inst) == z_product_type(inst)
 
 
 def test_z_eliminate_long_ring_is_trace_of_matrix_power():
     m = 1000
-    assert z_eliminate(_ring(PBFunction.from_values(2, [2, 1, 1, 2]), m)) == 3**m + 1
+    assert z_exact(_ring(PBFunction.from_values(2, [2, 1, 1, 2]), m)) == 3**m + 1
     a, b, c, d = 3, 1, 2, 5
     power = [[1, 0], [0, 1]]
     for _ in range(m):
@@ -246,47 +247,40 @@ def test_z_eliminate_long_ring_is_trace_of_matrix_power():
             [power[1][0] * a + power[1][1] * c, power[1][0] * b + power[1][1] * d],
         ]
     trace = power[0][0] + power[1][1]
-    assert z_eliminate(_ring(PBFunction.from_values(2, [a, b, c, d]), m)) == trace
+    assert z_exact(_ring(PBFunction.from_values(2, [a, b, c, d]), m)) == trace
 
 
-def _eq_clique(k: int) -> CspInstance:
-    return CspInstance.build(
-        {"e": EQ}, [((f"v{i}", f"v{j}"), "e") for i in range(k) for j in range(i + 1, k)]
+def test_z_eliminate_width_cap(monkeypatch):
+    """K_17 (4.06M predicted products) is the largest EQ clique within the budget;
+    K_18 (8.65M) raises before any table is built."""
+    assert z_exact(clique_instance(EQ, 17)) == 2
+
+    def no_tables(*args):
+        raise AssertionError("a table was built past the budget")
+
+    monkeypatch.setattr(instances, "_sum_product", no_tables)
+    with pytest.raises(CapacityError, match="products"):
+        z_exact(clique_instance(EQ, 18))
+
+
+def test_z_exact_grid_within_budget():
+    """An 8x30 EQ grid orders at width 14 and stays within the budget."""
+    grid = CspInstance.build(
+        {"e": EQ},
+        [((f"x{i}_{j}", f"x{i + 1}_{j}"), "e") for i in range(7) for j in range(30)]
+        + [((f"x{i}_{j}", f"x{i}_{j + 1}"), "e") for i in range(8) for j in range(29)],
     )
-
-
-def test_z_eliminate_width_cap():
-    """Past the cap z_eliminate raises and z_exact sums by brute force."""
-    clique = _eq_clique(WIDTH_CAP + 2)
-    with pytest.raises(CapacityError, match="width"):
-        z_eliminate(clique)
-    assert z_exact(clique) == 2
-    assert z_eliminate(_eq_clique(WIDTH_CAP + 1)) == 2
-
-
-def test_z_exact_brute_force_fallback_matches_oracle(monkeypatch):
-    """With the width cap at 0, every instance with a two-variable scope is
-    summed by brute force."""
-    monkeypatch.setattr(instances, "WIDTH_CAP", 0)
-    rng = random.Random(552)
-    fell_back = 0
-    for _ in range(120):
-        funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        inst = rand_csp_instance(rng, funcs, rng.randint(1, 10), rng.randint(0, 12))
-        fell_back += any(len(set(scope)) > 1 for scope, _ in inst.constraints)
-        assert z_exact(inst) == brute_force_z(inst)
-    assert fell_back > 80
+    assert z_exact(grid) == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 4000])
 def test_min_degree_width_on_rings_and_paths(n):
-    """Rings order within width 2 and paths within width 1: the cap argument checks it."""
+    """Rings order within width 2 and paths within width 1, every variable once."""
     ring = [(i, (i + 1) % n) for i in range(n)]
-    assert sorted(_min_degree_order(n, ring, 2)) == list(range(n))
-    assert sorted(_min_degree_order(n, ring[:-1], 1)) == list(range(n))
-    if n > 2:
-        with pytest.raises(CapacityError, match="width 2"):
-            _min_degree_order(n, ring, 1)
+    for scopes, width in ((ring, 2), (ring[:-1], 1)):
+        plan = _elimination_plan(n, scopes, 1 << 60)
+        assert sorted(v for v, _, _ in plan) == list(range(n))
+        assert max(len(free) for _, _, free in plan) == min(width, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,7 @@ def test_z_product_type_long_random_rings_match_elimination():
         rng.shuffle(cons)
         inst = CspInstance.build(registry, cons)
         z = z_product_type(inst)
-        assert z == z_eliminate(inst)
+        assert z == z_exact(inst)
         zero += z == 0
         nonzero += z != 0
     assert zero >= 2 and nonzero >= 2, (zero, nonzero)
@@ -493,7 +487,7 @@ def test_to_holant_random_preserves_z():
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 4), rng.randint(1, 5))
         conv = to_holant(inst)
         z = brute_force_z(inst)
-        assert z_exact(conv.holant.csp, cap=40) == z
+        assert z_exact(conv.holant.csp) == z
         if conv.verified:
             assert conv.z_source == conv.z_holant == z
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,13 @@ from spincount.funcs import (
     unary,
 )
 from spincount import instances
-from spincount.instances import WIDTH_CAP, CspInstance, HolantInstance, InstanceError, z_exact
+from spincount.instances import (
+    ELIMINATION_BUDGET,
+    CspInstance,
+    HolantInstance,
+    InstanceError,
+    z_exact,
+)
 from spincount.matching import (
     _Chain,
     _bundles,
@@ -44,6 +51,7 @@ from spincount.matching import (
 )
 from helpers import (
     brute_force_z,
+    clique_instance,
     rand_binary,
     rand_cp_binary,
     rand_csp_instance,
@@ -565,10 +573,22 @@ def test_estimate_z_fpras_long_ring_is_exact():
     assert estimate_z_fpras(binary(2, 1, 1, 2), ring, EstimatorConfig()) == 3**m + 1
 
 
+def test_estimate_z_fpras_k14_is_exact_and_fast():
+    """K_14 (width 13) is exact by elimination within a second."""
+    f = binary(2, 1, 1, 2)
+    k = 14
+    start = time.perf_counter()
+    z = estimate_z_fpras(f, clique_instance(f, k), EstimatorConfig())
+    seconds = time.perf_counter() - start
+    c2 = lambda j: j * (j - 1) // 2
+    assert z == sum(math.comb(k, j) * 2 ** (c2(j) + c2(k - j)) for j in range(k + 1))
+    assert seconds <= 1.0
+
+
 def test_estimate_z_fpras_random_exact_path(monkeypatch):
-    """Exact by elimination, and through the pipeline when the width cap is 0."""
-    for width_cap in (WIDTH_CAP, 0):
-        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+    """Exact by elimination, and through the pipeline when the elimination budget is 0."""
+    for budget in (ELIMINATION_BUDGET, 0):
+        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
         rng = random.Random(41)
         for _ in range(15):
             f = rand_cp_binary(rng)
@@ -579,9 +599,9 @@ def test_estimate_z_fpras_random_exact_path(monkeypatch):
 
 def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
     """Binaries tagged FPRAS are estimated exactly, by elimination and, with the
-    width cap at 0, through the pipeline, also those run under a spin flip."""
-    for width_cap in (WIDTH_CAP, 0):
-        monkeypatch.setattr(instances, "WIDTH_CAP", width_cap)
+    elimination budget at 0, through the pipeline, also those run under a spin flip."""
+    for budget in (ELIMINATION_BUDGET, 0):
+        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
         rng = random.Random(43)
         flipped = 0
         for _ in range(20):
@@ -589,7 +609,7 @@ def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
             while classify_two_spin(f).tag is not TwoSpinTag.FPRAS:
                 f = rand_binary(rng)
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
-            # Width 0 sends every instance with a two-variable constraint down the pipeline.
+            # Budget 0 sends every instance with a constraint down the pipeline.
             flipped += not in_cp(f) and any(len(set(scope)) == 2 for scope, _ in inst.constraints)
             assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == brute_force_z(inst)
         assert flipped > 0
