@@ -13,6 +13,12 @@ are rejected at the door.
 Every sum of products is evaluated by ``_sum_product``, the one place where
 evaluation reads the table layout: the clone operations below,
 ``instances.z_exact`` and ``gadgets.eval_pps``.
+
+``_integer_table`` is the one place that scales a table to integers, by the
+lcm of its denominators.  ``_sum_product`` and the Walsh–Hadamard transform
+``_wht`` run on its ints: ``fourier`` and ``inverse_fourier`` build one
+Fraction per entry returned, and ``in_cp``/``in_sdp3`` read the signs of the
+integer transform.
 """
 
 from __future__ import annotations
@@ -163,8 +169,19 @@ XOR3 = PBFunction.from_values(3, (1, 0, 0, 1, 0, 1, 1, 0))
 # Fourier transform
 
 
-def _wht(table: Sequence[Fraction]) -> list[Fraction]:
-    out = list(table)
+def _integer_table(table: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The table times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(v.denominator for v in table))
+    return [v.numerator * (scale // v.denominator) for v in table], scale
+
+
+def _wht(table: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The unnormalized transform sum_p (-1)**(p.x) t(p) as (ints, scale).
+
+    Entry x is ints[x] / scale.  The butterfly runs on ints, so no step does
+    a gcd, and as the scale is positive the ints carry the signs and zeros.
+    """
+    out, scale = _integer_table(table)
     n = len(out)
     h = 1
     while h < n:
@@ -173,18 +190,20 @@ def _wht(table: Sequence[Fraction]) -> list[Fraction]:
                 a, b = out[j], out[j + h]
                 out[j], out[j + h] = a + b, a - b
         h *= 2
-    return out
+    return out, scale
 
 
 def fourier(f: Union[PBFunction, SignedTable]) -> SignedTable:
     """Fourier table F with F(x) = 2**-k * sum_p (-1)**(p.x) f(p)."""
-    scale = Fraction(1, 1 << f.arity)
-    return SignedTable(f.arity, tuple(v * scale for v in _wht(f.table)))
+    ints, scale = _wht(f.table)
+    scale <<= f.arity
+    return SignedTable(f.arity, tuple(Fraction(v, scale) for v in ints))
 
 
 def inverse_fourier(F: SignedTable) -> SignedTable:
     """Inverse transform, no normalization: f(x) = sum_p (-1)**(p.x) F(p)."""
-    return SignedTable(F.arity, tuple(_wht(F.table)))
+    ints, scale = _wht(F.table)
+    return SignedTable(F.arity, tuple(Fraction(v, scale) for v in ints))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +216,17 @@ def _sum_product(
     """Table over variables 0..n_free-1 of the atoms' product summed over the rest.
 
     Each atom is a (table, scope) pair over variables 0..n_vars-1, variable 0
-    the most significant bit.  Every table is scaled to integers by the lcm
-    of its denominators, so the inner loop multiplies ints and stops at the
+    the most significant bit.  Every table is scaled to integers by
+    ``_integer_table``, so the inner loop multiplies ints and stops at the
     first zero; each output entry becomes one Fraction.
     """
     n_bound = n_vars - n_free
     compiled: list[tuple[tuple[int, ...], list[int]]] = []
     denominator = 1
     for table, scope in atoms:
-        scale = lcm(*(v.denominator for v in table))
+        int_table, scale = _integer_table(table)
         denominator *= scale
-        compiled.append((tuple(n_vars - 1 - v for v in scope), [int(v * scale) for v in table]))
+        compiled.append((tuple(n_vars - 1 - v for v in scope), int_table))
     out = []
     for free in range(1 << n_free):
         total = 0
@@ -439,15 +458,16 @@ def is_support_join_closed(f: PBFunction) -> bool:
 
 def in_cp(f: Union[PBFunction, SignedTable]) -> bool:
     """Membership in the class with entrywise nonnegative Fourier table."""
-    return all(v >= 0 for v in fourier(f).table)
+    ints, _ = _wht(f.table)
+    return all(v >= 0 for v in ints)
 
 
 def in_sdp3(f: PBFunction) -> bool:
     """Arity-3 functions whose Fourier table is nonnegative and vanishes on odd weight."""
     if f.arity != 3:
         return False
-    F = fourier(f).table
-    for idx, v in enumerate(F):
+    ints, _ = _wht(f.table)
+    for idx, v in enumerate(ints):
         if bin(idx).count("1") % 2 == 1:
             if v != 0:
                 return False

@@ -682,7 +682,8 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
             raise InstanceError(f"constraint function {name!r} differs from the pipeline function")
-    if not in_cp(f) and not in_cp(bit_flip(f)):
+    nonnegative = in_cp(f)
+    if not nonnegative and not in_cp(bit_flip(f)):
         raise InstanceError(
             "function has a negative Fourier coefficient; classify_two_spin reports which "
             "regime applies instead"
@@ -691,7 +692,7 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         return z_exact(csp)
     except CapacityError as exc:
         too_costly = str(exc)
-    if not in_cp(f):
+    if not nonnegative:
         # Flipping every spin maps f to bit_flip(f) in each constraint and keeps Z.
         used = {name for _, name in csp.constraints}
         registry = tuple((name, bit_flip(fn) if name in used else fn) for name, fn in csp.registry)

@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from spincount.funcs import (
     PBFunction,
@@ -47,6 +47,33 @@ def brute_force_z(inst: Union[CspInstance, HolantInstance]) -> Fraction:
             start=Fraction(1),
         )
     return total
+
+
+def fourier_by_definition(table: Sequence[Fraction], arity: int) -> tuple[Fraction, ...]:
+    """F(x) = 2**-k * sum_p (-1)**(p.x) f(p), one Fraction sum per x over every p.
+    An oracle that shares no code with the library."""
+    n = 1 << arity
+    out = []
+    for x in range(n):
+        total = Fraction(0)
+        for p in range(n):
+            if bin(p & x).count("1") % 2:
+                total -= table[p]
+            else:
+                total += table[p]
+        out.append(total / n)
+    return tuple(out)
+
+
+def first_primes(count: int) -> list[int]:
+    """The first `count` primes, by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def rand_fraction(rng: random.Random, max_num: int = 4, max_den: int = 3) -> Fraction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,13 @@ from spincount.funcs import (
     support,
     unary,
 )
-from helpers import rand_function, rand_monotone, rand_product_type
+from helpers import (
+    first_primes,
+    fourier_by_definition,
+    rand_function,
+    rand_monotone,
+    rand_product_type,
+)
 
 # ---------------------------------------------------------------------------
 # Indexing and construction
@@ -111,6 +118,114 @@ def test_fourier_of_unary():
 def test_inverse_fourier_accepts_signed():
     coeffs = SignedTable.from_values(2, (Fraction(3, 2), 0, 0, Fraction(1, 2)))
     assert inverse_fourier(coeffs).table == (2, 1, 1, 2)
+
+
+_PRIMES = first_primes(300)
+
+
+def _mixed_table(rng: random.Random, arity: int, signed: bool = False) -> list[Fraction]:
+    """Seeded entries, about a quarter zero, over small denominators, 2**60 and
+    primes that are distinct within the table."""
+    values = []
+    for prime in rng.sample(_PRIMES, 1 << arity):
+        den = rng.choice((1, rng.randint(2, 6), prime, prime, 2**60))
+        num = 0 if rng.random() < 0.25 else rng.randint(1, 50)
+        values.append(Fraction(-num if signed and rng.random() < 0.5 else num, den))
+    return values
+
+
+def _from_coefficients(coeffs: list[Fraction], arity: int) -> list[Fraction]:
+    """The table whose Fourier table is coeffs, by the definition."""
+    return [(1 << arity) * v for v in fourier_by_definition(coeffs, arity)]
+
+
+def _coefficients(rng: random.Random, arity: int, negative_at: int | None = None) -> list[Fraction]:
+    """Nonnegative coefficients, about half exactly zero, with an optional tiny
+    negative one; the constant term dominates, so the table they give is nonnegative."""
+    coeffs = [
+        Fraction(rng.randint(1, 9) if rng.random() < 0.5 else 0, rng.choice((1, 3, 2**60)))
+        for _ in range(1 << arity)
+    ]
+    if negative_at is not None:
+        coeffs[negative_at] = Fraction(-1, rng.choice((2**60, rng.choice(_PRIMES))))
+    coeffs[0] = sum(abs(v) for v in coeffs[1:]) + Fraction(rng.randint(0, 1), 7)
+    return coeffs
+
+
+@pytest.mark.parametrize("arity", range(9))
+def test_fourier_matches_definition_on_mixed_denominators(arity):
+    rng = random.Random(1200 + arity)
+    for _ in range(max(1, 6 - arity)):
+        f = PBFunction.from_values(arity, _mixed_table(rng, arity))
+        assert fourier(f).table == fourier_by_definition(f.table, arity)
+        assert inverse_fourier(fourier(f)).table == f.table
+
+
+@pytest.mark.parametrize("arity", range(9))
+def test_inverse_fourier_matches_definition_on_signed_tables(arity):
+    rng = random.Random(1300 + arity)
+    signed = SignedTable.from_values(arity, _mixed_table(rng, arity, signed=True))
+    coeffs = fourier_by_definition(signed.table, arity)
+    assert inverse_fourier(signed).table == tuple((1 << arity) * v for v in coeffs)
+    assert fourier(signed).table == coeffs
+    assert fourier(inverse_fourier(signed)).table == signed.table
+
+
+def test_in_cp_agrees_with_definition_signs():
+    rng = random.Random(1400)
+    for arity in range(7):
+        cases = [
+            PBFunction.from_values(arity, _mixed_table(rng, arity)),
+            SignedTable.from_values(arity, _mixed_table(rng, arity, signed=True)),
+        ]
+        zeros = PBFunction.from_values(arity, _from_coefficients(_coefficients(rng, arity), arity))
+        assert in_cp(zeros)
+        cases.append(zeros)
+        if arity:
+            coeffs = _coefficients(rng, arity, negative_at=rng.randrange(1, 1 << arity))
+            one_negative = PBFunction.from_values(arity, _from_coefficients(coeffs, arity))
+            assert not in_cp(one_negative)
+            cases.append(one_negative)
+        for f in cases:
+            assert in_cp(f) == all(v >= 0 for v in fourier_by_definition(f.table, f.arity))
+
+
+def test_in_sdp3_agrees_with_definition_signs():
+    rng = random.Random(1500)
+    odd = [i for i in range(8) if bin(i).count("1") % 2]
+    even = [i for i in range(1, 8) if i not in odd]
+
+    def by_definition(f):
+        coeffs = fourier_by_definition(f.table, 3)
+        return all(coeffs[i] == 0 if i in odd else coeffs[i] >= 0 for i in range(8))
+
+    for _ in range(20):
+        f = PBFunction.from_values(3, _mixed_table(rng, 3))
+        assert in_sdp3(f) == by_definition(f)
+        coeffs = _coefficients(rng, 3)
+        for i in odd:
+            coeffs[i] = Fraction(0)
+        carrier = PBFunction.from_values(3, _from_coefficients(coeffs, 3))
+        assert in_sdp3(carrier) and by_definition(carrier)
+        leak = Fraction(1, rng.choice((2**60, rng.choice(_PRIMES))))
+        leaky = list(coeffs)
+        leaky[rng.choice(odd)] = leak
+        leaky[0] += leak
+        negative = _coefficients(rng, 3, negative_at=rng.choice(even))
+        for i in odd:
+            negative[i] = Fraction(0)
+        for bad in (leaky, negative):
+            g = PBFunction.from_values(3, _from_coefficients(bad, 3))
+            assert not in_sdp3(g) and not by_definition(g)
+    assert not in_sdp3(PBFunction.from_values(2, (1, 0, 0, 1)))
+
+
+def test_in_cp_fast_on_distinct_prime_denominators():
+    rng = random.Random(1600)
+    f = PBFunction.from_values(11, [Fraction(rng.randrange(1, p), p) for p in first_primes(2048)])
+    start = time.perf_counter()
+    in_cp(f)
+    assert time.perf_counter() - start <= 0.5
 
 
 # ---------------------------------------------------------------------------
