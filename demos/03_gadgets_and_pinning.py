@@ -41,8 +41,9 @@ print("extracted:", row(got.function.table), "route:", got.route)
 print("formula:  ", serialize_pps(got.formula))
 
 # Powering a normalized unary concentrates it near one end; five squarings
-# push the off-pin mass under 1/100.
-scaled, scale = normalize_unary(unary(1, 3), "up")
+# push the off-pin mass under 1/100.  normalize_unary scales the larger entry,
+# the end the powers approach, to 1.
+scaled, scale = normalize_unary(unary(1, 3))
 pinned, power = approx_pin(scaled, Fraction(1, 100))
 print("approximate pin:", row(pinned.table), "power:", power)
 

@@ -49,11 +49,16 @@ print("kappa * pm / 2:", form.kappa * count_pm_exact(graph) / 2)
 f = binary(2, 1, 1, 2)
 print("pipeline:", estimate_z_fpras(f, inst, EstimatorConfig()))
 
-# The matching chain on this graph: telescope down to 6 vertices and the
-# count is randomized but seeded, hence reproducible.
-cfg = EstimatorConfig(epsilon=Fraction(1, 10), seed=11, exact_cap=6)
-print("sampled: ", form.kappa * estimate_pm(graph, cfg) / 2)
-print("again:   ", form.kappa * estimate_pm(graph, cfg) / 2)
+# The matching chain runs on graphs past EXACT_CAP (30) vertices.  A 7-ring's
+# triangle graph has 36: estimate_pm telescopes it down to 30 vertices and
+# counts those exactly.  The count is randomized but seeded, hence reproducible.
+ring = CspInstance.build({"f": f}, [((f"x{i}", f"x{(i + 1) % 7}"), "f") for i in range(7)])
+ring_form = holant_fourier_form(lift_instance(ring))
+ring_graph = build_triangle_graph(ring_form.holant)
+print("7-ring z:", z_exact(ring), "graph size:", len(ring_graph.vertices), "vertices")
+cfg = EstimatorConfig(epsilon=Fraction(1, 10), seed=11)
+print("sampled: ", ring_form.kappa * estimate_pm(ring_graph, cfg) / 2)
+print("again:   ", ring_form.kappa * estimate_pm(ring_graph, cfg) / 2)
 
 # A bigger random-looking instance, still exact through the pipeline.
 big = CspInstance.build(

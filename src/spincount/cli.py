@@ -40,7 +40,6 @@ from .gadgets import (
 )
 from .instances import HolantInstance, InstanceError, parse, z_exact
 from .matching import (
-    EXACT_CAP,
     EstimatorConfig,
     build_triangle_graph,
     estimate_z_fpras,
@@ -161,7 +160,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     else:
         if args.eps is None:
             raise ValueError("pin needs --eps")
-        normalized, scale = normalize_unary(f, args.direction)
+        normalized, scale = normalize_unary(f)
         pinned, power = approx_pin(normalized, parse_rational(args.eps))
         record = [
             ("table", _table_str(pinned.table)),
@@ -208,9 +207,7 @@ def _cmd_z_estimate(args: argparse.Namespace) -> int:
     f = inst.registry_map()[used[0]]
     if isinstance(f, SignedTable):
         raise InstanceError("estimator needs a nonnegative function")
-    cfg = EstimatorConfig(
-        epsilon=parse_rational(args.epsilon), seed=args.seed, exact_cap=args.exact_cap
-    )
+    cfg = EstimatorConfig(epsilon=parse_rational(args.epsilon), seed=args.seed)
     z = estimate_z_fpras(f, inst, cfg)
     if args.machine:
         _emit([("z", str(z))], True)
@@ -271,10 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fun2", help="second function literal (extract)")
     p.add_argument("--mode", type=int, help="symmetrize mode 1, 2, or 3")
     p.add_argument("--up", help="strictly increasing permissive unary (symmetrize mode 3)")
-    p.add_argument("--eps", help="target off-pin mass (pin)")
-    p.add_argument(
-        "--direction", choices=["up", "down"], default="up", help="pinning direction (pin)"
-    )
+    p.add_argument("--eps", help="target off-pin mass (pin); pins toward the larger entry")
 
     p = add("pinning", "pinning analysis of a finite function family", _cmd_pinning)
     p.add_argument("--fun", action="append", required=True, help="family member (repeatable)")
@@ -286,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--epsilon", default="1/10", help="accuracy target, a rational")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-cap", type=int, default=EXACT_CAP, help="chain's telescoping base size")
 
     p = add("holant-check", "report whether every variable occurs exactly twice", _cmd_holant_check)
     p.add_argument("file")

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from . import instances
 from .funcs import (
     DELTA0,
     DELTA1,
     CapacityError,
     PBFunction,
     PropertyReport,
+    _check_arity,
     _sum_product,
     bits_of,
     bit_flip,
@@ -41,8 +43,6 @@ from .funcs import (
     pure_value,
     sum_out,
 )
-
-PPS_VAR_CAP = 20
 
 
 class GadgetError(Exception):
@@ -69,10 +69,19 @@ class PpsFormula:
 
 
 def eval_pps(formula: PpsFormula, registry: Mapping[str, PBFunction]) -> PBFunction:
-    """Brute-force evaluation of a formula to a function of its free variables."""
+    """Brute-force evaluation of a formula to a function of its free variables.
+
+    The sum takes one product per atom (at least one) per assignment; past
+    ``instances.ELIMINATION_BUDGET`` products, or past ``ARITY_CAP`` free
+    variables, this raises CapacityError before any table is built.
+    """
     nf, nb = formula.n_free, formula.n_bound
-    if nf + nb > PPS_VAR_CAP:
-        raise CapacityError(f"{nf + nb} formula variables exceed the cap of {PPS_VAR_CAP}")
+    _check_arity(nf)
+    budget = instances.ELIMINATION_BUDGET
+    # A shift past the budget's bit length already exceeds it.
+    products = max(1, len(formula.atoms)) << min(nf + nb, budget.bit_length())
+    if products > budget:
+        raise CapacityError(f"{nf + nb} formula variables need {products}+ products, past {budget}")
     atoms = []
     for name, scope in formula.atoms:
         if name not in registry:
@@ -405,20 +414,18 @@ def approx_pin(u: PBFunction, eps: Fraction) -> tuple[PBFunction, int]:
     return PBFunction(1, table), k
 
 
-def normalize_unary(u: PBFunction, direction: str) -> tuple[PBFunction, Fraction]:
-    """Scale a strict permissive unary so the approached end equals 1."""
+def normalize_unary(u: PBFunction) -> tuple[PBFunction, Fraction]:
+    """Scale a strict permissive unary so the approached end, its larger entry, equals 1.
+
+    A strictly increasing unary approaches 1 and a strictly decreasing one 0.
+    """
     if u.arity != 1:
         raise GadgetError(f"normalize_unary needs a unary, got arity {u.arity}")
-    if direction == "up":
-        if not is_increasing_permissive_unary(u):
-            raise GadgetError(f"{u.table} is not strictly increasing permissive")
-        scale = u.table[1]
-    elif direction == "down":
-        if not is_decreasing_permissive_unary(u):
-            raise GadgetError(f"{u.table} is not strictly decreasing permissive")
-        scale = u.table[0]
-    else:
-        raise GadgetError(f"direction must be 'up' or 'down', got {direction!r}")
+    if not (is_increasing_permissive_unary(u) or is_decreasing_permissive_unary(u)):
+        raise GadgetError(
+            f"unary {' '.join(str(v) for v in u.table)} is not strictly monotone permissive"
+        )
+    scale = max(u.table)
     return PBFunction(1, (u.table[0] / scale, u.table[1] / scale)), scale
 
 

@@ -17,8 +17,9 @@ line produce a signed table; signed registries are accepted only by
 
 ``z_exact`` answers by bucket elimination at any size whose plan is predicted
 to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
-before building any table past it.  ``near_assignment_total`` takes an
-optional cap on the variable count (default 12).
+before building any table past it.  ``near_assignment_total`` refuses
+instances of more than ``NEAR_CAP`` variables.  Both constants are read at
+call time.
 """
 
 from __future__ import annotations
@@ -678,7 +679,7 @@ def holographic_transform(
 # Near-assignments
 
 
-def near_assignment_total(inst: HolantInstance, cap: Optional[int] = None) -> Fraction:
+def near_assignment_total(inst: HolantInstance) -> Fraction:
     """Sum, over unordered variable pairs, of the split-and-flip partition functions.
 
     Each pair {u, v} is evaluated on the instance with u's two occurrences
@@ -687,10 +688,9 @@ def near_assignment_total(inst: HolantInstance, cap: Optional[int] = None) -> Fr
     if inst.has_signed():
         raise InstanceError("signed registries have no near-assignment total")
     csp = inst.csp
-    limit = NEAR_CAP if cap is None else cap
     n = len(csp.variables)
-    if n > limit:
-        raise CapacityError(f"{n} variables exceeds the near-assignment cap {limit}")
+    if n > NEAR_CAP:
+        raise CapacityError(f"{n} variables exceeds the near-assignment cap {NEAR_CAP}")
     if n < 2:
         return Fraction(0)
     neq_name = _fresh_fn_name("neq", csp.registry_map(), NEQ)

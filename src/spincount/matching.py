@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 EDGE_LABELS = ("within_triangle", "between_triangles", "plain")
+# count_pm_exact refuses graphs past EXACT_CAP vertices; estimate_pm telescopes
+# down to it.  Both read it at call time.
 EXACT_CAP = 30
 # Chain steps between retained samples are about _STEPS_COEFF * n * ln n;
 # _SAMPLE_COEFF scales the perfect samples kept per telescoping level.
@@ -150,16 +152,11 @@ def serialize_graph(g: WeightedMultigraph) -> str:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Accuracy target, failure budget, seed, and telescoping base size.
-
-    ``exact_cap`` is the telescoping base size: ``estimate_pm`` counts graphs
-    of at most this many vertices exactly and telescopes larger ones down to it.
-    """
+    """Accuracy target epsilon, failure probability delta, and the seed that fixes the estimate."""
 
     epsilon: Fraction = Fraction(1, 10)
     delta: Fraction = Fraction(1, 4)
     seed: int = 0
-    exact_cap: int = EXACT_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", frac(self.epsilon))
@@ -168,8 +165,6 @@ class EstimatorConfig:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie strictly between 0 and 1")
-        if self.exact_cap < 0:
-            raise ValueError("bad schedule parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +368,10 @@ def _adjacency(g: WeightedMultigraph) -> list[list[tuple[int, Fraction]]]:
     return adj
 
 
-def _count_with_holes(g: WeightedMultigraph, holes: int, cap: int) -> Fraction:
+def _count_with_holes(g: WeightedMultigraph, holes: int) -> Fraction:
     n = len(g.vertices)
-    if n > cap:
-        raise CapacityError(f"{n} vertices exceeds the matching-count cap {cap}")
+    if n > EXACT_CAP:
+        raise CapacityError(f"{n} vertices exceeds the matching-count cap {EXACT_CAP}")
     adj = _adjacency(g)
     memo: dict[tuple[int, int], Fraction] = {}
 
@@ -399,14 +394,14 @@ def _count_with_holes(g: WeightedMultigraph, holes: int, cap: int) -> Fraction:
     return visit((1 << n) - 1, holes)
 
 
-def count_pm_exact(g: WeightedMultigraph, cap: int = EXACT_CAP) -> Fraction:
+def count_pm_exact(g: WeightedMultigraph) -> Fraction:
     """Total weight of perfect matchings; self-loops never participate."""
-    return _count_with_holes(g, 0, cap)
+    return _count_with_holes(g, 0)
 
 
-def count_npm_exact(g: WeightedMultigraph, cap: int = EXACT_CAP) -> Fraction:
+def count_npm_exact(g: WeightedMultigraph) -> Fraction:
     """Total weight of matchings leaving exactly two vertices unmatched."""
-    return _count_with_holes(g, 2, cap)
+    return _count_with_holes(g, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +623,7 @@ def _condition_level(
 def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
     """Seeded randomized perfect-matching weight of a weighted multigraph.
 
-    Telescopes vertex-pair removals down to ``cfg.exact_cap`` vertices, each
+    Telescopes vertex-pair removals down to ``EXACT_CAP`` vertices, each
     level estimated by the matching chain; the remainder is counted exactly.
     Odd orders, empty graphs, and graphs without perfect matchings are
     answered exactly without sampling.
@@ -643,7 +638,7 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
     start = _maximum_matching(n, bundles)
     if start is None:
         return _ZERO
-    cap = cfg.exact_cap
+    cap = EXACT_CAP
     d = _denominator_lcm(g)
     levels_total = max(0, (n - cap + 1) // 2)
     result = _ONE
@@ -656,7 +651,7 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
         n = len(names)
         level += 1
     base = _graph_from_bundles(names, bundles)
-    return result * count_pm_exact(base, cap=max(n, 1))
+    return result * count_pm_exact(base)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from spincount import instances
+from spincount import instances, matching
 from spincount.cli import main, parse_function_literal
 from spincount.funcs import PBFunction, SignedTable, binary
 from spincount.instances import serialize
@@ -122,11 +122,32 @@ def test_gadget_extract(capsys):
 
 
 def test_gadget_pin(capsys):
-    assert main(["gadget", "pin", "--fun", "1 3", "--eps", "1/100", "--direction", "up"]) == 0
+    """The direction is read off the unary: a decreasing one pins toward 0, and
+    a non-strict one is an input error."""
+    assert main(["gadget", "pin", "--fun", "1 3", "--eps", "1/100"]) == 0
     out = capsys.readouterr().out
     assert "table: 1/243 1" in out
     assert "power: 5" in out
     assert "scale: 3" in out
+    assert main(["gadget", "pin", "--fun", "3 1", "--eps", "1/100", "--machine"]) == 0
+    assert capsys.readouterr().out == 'table="1 1/243" power=5 scale=3\n'
+    assert main(["gadget", "pin", "--fun", "3 3", "--eps", "1/100"]) == 2
+    assert "error: unary 3 3 is not strictly monotone permissive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "pin", "--fun", "1 3", "--eps", "1/100", "--direction", "up"],
+        ["z-estimate", "unused.csp", "--exact-cap", "6"],
+    ],
+    ids=["direction", "exact-cap"],
+)
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_gadget_missing_option_is_input_error(capsys):
@@ -164,7 +185,8 @@ def test_z_estimate_matches_z_exact_bytes(ferro_file, capsys):
 
 def test_z_estimate_sampling_path_stays_close(ferro_file, capsys, monkeypatch):
     monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 0)  # send the 3-cycle down the chain
-    assert main(["z-estimate", ferro_file, "--exact-cap", "6", "--seed", "3"]) == 0
+    monkeypatch.setattr(matching, "EXACT_CAP", 6)  # and telescope its 12 vertices to 6
+    assert main(["z-estimate", ferro_file, "--seed", "3"]) == 0
     value = Fraction(capsys.readouterr().out.strip())
     assert Fraction(9, 10) * 28 <= value <= Fraction(11, 10) * 28
 

@@ -9,11 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from spincount import gadgets, instances
 from spincount.funcs import (
+    ARITY_CAP,
     DELTA0,
     DELTA1,
     EQ3,
     IMP,
+    CapacityError,
     binary,
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,
@@ -56,6 +59,35 @@ def test_pps_serialize_parse_round_trip():
 def test_eval_pps_rejects_unknown_function():
     with pytest.raises(ValueError):
         eval_pps(PpsFormula(1, 0, (("nope", (0,)),)), {})
+
+
+def _no_tables(*args):
+    raise AssertionError("a table was built past the budget")
+
+
+def test_eval_pps_refuses_before_summing(monkeypatch):
+    """An atom-free formula still walks every assignment, and a table of more
+    than ARITY_CAP free variables is refused: neither reaches the sum."""
+    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    with pytest.raises(CapacityError, match="products"):
+        eval_pps(parse_pps("pps 0 40"), {})
+    with pytest.raises(CapacityError, match="arity"):
+        eval_pps(PpsFormula(ARITY_CAP + 1, 0, ()), {})
+
+
+def test_eval_pps_product_budget(monkeypatch):
+    """Two atoms over three variables take 16 products: at a budget of 16 the
+    formula evaluates, and one more variable or variable-only formulas past it
+    are refused before the sum."""
+    registry = {"f": binary(1, 2, 3, 4)}
+    path = PpsFormula(1, 2, (("f", (0, 1)), ("f", (1, 2))))
+    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 16)
+    assert eval_pps(path, registry).table == (17, 37)
+    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    with pytest.raises(CapacityError, match="products"):
+        eval_pps(PpsFormula(1, 3, path.atoms), registry)
+    with pytest.raises(CapacityError, match="products"):
+        eval_pps(PpsFormula(0, 5, ()), {})
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +184,23 @@ def test_extract_rejects_trivial_g():
 
 
 def test_normalize_unary_scales_toward_the_approached_end():
-    scaled, scale = normalize_unary(unary(1, 3), "up")
+    scaled, scale = normalize_unary(unary(1, 3))
     assert scaled.table == (Fraction(1, 3), 1)
     assert scale == 3
-    scaled, scale = normalize_unary(unary(3, 1), "down")
+    scaled, scale = normalize_unary(unary(3, 1))
     assert scaled.table == (1, Fraction(1, 3))
     assert scale == 3
+    with pytest.raises(TypeError):
+        normalize_unary(unary(1, 3), "up")
+
+
+@pytest.mark.parametrize(
+    "u", [unary(3, 3), unary(0, 3), unary(Fraction(1, 2), 0)], ids=["equal", "zero-low", "zero-high"]
+)
+def test_normalize_unary_refuses_non_strict_unaries(u):
+    table = " ".join(str(v) for v in u.table)
+    with pytest.raises(GadgetError, match=f"^unary {table} is not strictly monotone permissive$"):
+        normalize_unary(u)
 
 
 def test_approx_pin_minimal_power():

@@ -606,11 +606,14 @@ def test_near_assignment_total_small_cases():
     assert near_assignment_total(one) == 0
 
 
-def test_near_assignment_total_cap():
+def test_near_assignment_total_cap(monkeypatch):
     scopes = [((f"v{i}", f"v{i}"), "e") for i in range(13)]
     big = HolantInstance.build({"e": EQ}, scopes)
     with pytest.raises(CapacityError):
         near_assignment_total(big)
     small = HolantInstance(parse(PRISM_TEXT))
+    monkeypatch.setattr(instances, "NEAR_CAP", 2)
     with pytest.raises(CapacityError):
-        near_assignment_total(small, cap=2)
+        near_assignment_total(small)
+    with pytest.raises(TypeError):
+        near_assignment_total(small, cap=12)

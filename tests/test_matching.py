@@ -22,7 +22,7 @@ from spincount.funcs import (
     in_cp,
     unary,
 )
-from spincount import instances
+from spincount import instances, matching
 from spincount.instances import (
     ELIMINATION_BUDGET,
     CspInstance,
@@ -379,9 +379,10 @@ def test_estimate_pm_exact_below_cap():
     assert estimate_pm(g, EstimatorConfig()) == 4
 
 
-def test_estimate_pm_weighted_single_edge():
+def test_estimate_pm_weighted_single_edge(monkeypatch):
     g = graph("ab", [("a", "b", Fraction(1, 2))])
-    assert estimate_pm(g, EstimatorConfig(exact_cap=0)) == Fraction(1, 2)
+    monkeypatch.setattr(matching, "EXACT_CAP", 0)
+    assert estimate_pm(g, EstimatorConfig()) == Fraction(1, 2)
 
 
 def test_estimate_pm_weighted_matches_integerized():
@@ -486,8 +487,8 @@ def test_chain_state_invariants(vertices, edges):
     assert len(visited) > 1
 
 
-def test_estimate_pm_sampling_tracks_exact():
-    """Seeded chain estimates land within 10 percent on at least 12 of 20 runs."""
+def _random_multigraph8() -> WeightedMultigraph:
+    """K_8 with one or two parallel unit edges per pair, seeded."""
     rng = random.Random(123)
     names = [f"n{i}" for i in range(8)]
     edges = []
@@ -495,20 +496,42 @@ def test_estimate_pm_sampling_tracks_exact():
         for j in range(i + 1, 8):
             for _ in range(rng.randint(1, 2)):
                 edges.append(Edge(names[i], names[j], Fraction(1)))
-    g = WeightedMultigraph(tuple(names), tuple(edges))
+    return WeightedMultigraph(tuple(names), tuple(edges))
+
+
+def test_estimate_pm_sampling_tracks_exact(monkeypatch):
+    """Seeded chain estimates land within 10 percent on at least 12 of 20 runs."""
+    g = _random_multigraph8()
     exact = count_pm_exact(g)
     lo, hi = exact * Fraction(9, 10), exact * Fraction(11, 10)
-    hits = sum(
-        1
-        for seed in range(20)
-        if lo <= estimate_pm(g, EstimatorConfig(seed=seed, exact_cap=4)) <= hi
-    )
+    monkeypatch.setattr(matching, "EXACT_CAP", 4)
+    hits = sum(1 for seed in range(20) if lo <= estimate_pm(g, EstimatorConfig(seed=seed)) <= hi)
     assert hits >= 12
 
 
-def test_estimate_pm_is_deterministic():
+def test_estimate_pm_counts_exactly_only_within_exact_cap(monkeypatch):
+    """The telescoping base is EXACT_CAP, the cap count_pm_exact checks; nothing
+    counts a larger graph exactly.  The value is frozen from a run that set the
+    base size to 4 through a config field."""
+    g = _random_multigraph8()
+    sizes = []
+
+    def counting(base):
+        sizes.append(len(base.vertices))
+        return count_pm_exact(base)
+
+    monkeypatch.setattr(matching, "EXACT_CAP", 4)
+    monkeypatch.setattr(matching, "count_pm_exact", counting)
+    assert estimate_pm(g, EstimatorConfig(seed=7)) == Fraction(34560000, 84001)
+    assert sizes and max(sizes) <= 4
+    with pytest.raises(CapacityError):
+        count_pm_exact(g)
+
+
+def test_estimate_pm_is_deterministic(monkeypatch):
     g = graph("abcdef", [(u, v, 1) for u in "abcdef" for v in "abcdef" if u < v])
-    cfg = EstimatorConfig(seed=7, exact_cap=4)
+    monkeypatch.setattr(matching, "EXACT_CAP", 4)
+    cfg = EstimatorConfig(seed=7)
     assert estimate_pm(g, cfg) == estimate_pm(g, cfg)
 
 
@@ -517,8 +540,16 @@ def test_estimator_config_validation():
         EstimatorConfig(epsilon=0)
     with pytest.raises(ValueError, match="delta"):
         EstimatorConfig(delta=1)
-    with pytest.raises(ValueError, match="schedule"):
-        EstimatorConfig(exact_cap=-1)
+
+
+def test_removed_size_keywords_raise_type_error():
+    g = graph("ab", [("a", "b", 1)])
+    with pytest.raises(TypeError):
+        EstimatorConfig(exact_cap=4)
+    with pytest.raises(TypeError):
+        count_pm_exact(g, cap=4)
+    with pytest.raises(TypeError):
+        count_npm_exact(g, cap=4)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +566,13 @@ def test_estimate_z_fpras_exact_path():
     assert estimate_z_fpras(EQ, eqtri, cfg) == 2
 
 
-def test_estimate_z_fpras_sampling_path():
+def test_estimate_z_fpras_sampling_path(monkeypatch):
     one = CspInstance.build({"f": binary(2, 1, 1, 2)}, [(("x", "y"), "f")])
     form = holant_fourier_form(lift_instance(one))
     g = build_triangle_graph(form.holant)
+    monkeypatch.setattr(matching, "EXACT_CAP", 6)
     for seed in range(3):
-        cfg = EstimatorConfig(seed=seed, exact_cap=6)
-        assert form.kappa / 2 * estimate_pm(g, cfg) == 6
+        assert form.kappa / 2 * estimate_pm(g, EstimatorConfig(seed=seed)) == 6
 
 
 def test_chain_on_c06_sampling_graphs():
@@ -593,8 +624,7 @@ def test_estimate_z_fpras_random_exact_path(monkeypatch):
         for _ in range(15):
             f = rand_cp_binary(rng)
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
-            cfg = EstimatorConfig(exact_cap=60)
-            assert estimate_z_fpras(f, inst, cfg) == brute_force_z(inst)
+            assert estimate_z_fpras(f, inst, EstimatorConfig()) == brute_force_z(inst)
 
 
 def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
@@ -611,7 +641,7 @@ def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
             # Budget 0 sends every instance with a constraint down the pipeline.
             flipped += not in_cp(f) and any(len(set(scope)) == 2 for scope, _ in inst.constraints)
-            assert estimate_z_fpras(f, inst, EstimatorConfig(exact_cap=60)) == brute_force_z(inst)
+            assert estimate_z_fpras(f, inst, EstimatorConfig()) == brute_force_z(inst)
         assert flipped > 0
 
 
