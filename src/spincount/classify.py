@@ -32,7 +32,7 @@ from .funcs import (
     is_monotone,
     is_product_type,
     is_trivial_binary,
-    record_value,
+    record_fields,
 )
 
 __all__ = [
@@ -75,18 +75,7 @@ class TwoSpinVerdict:
     note: str = ""
 
     def record(self) -> list[tuple[str, str]]:
-        pairs = [
-            ("tag", self.tag.value),
-            ("trivial", record_value(self.trivial)),
-            ("lsm", record_value(self.lsm)),
-            ("f01", str(self.f01)),
-            ("f10", str(self.f10)),
-            ("monotone", record_value(self.monotone)),
-            ("flip_monotone", record_value(self.flip_monotone)),
-        ]
-        if self.note:
-            pairs.append(("note", self.note))
-        return pairs
+        return record_fields(self)
 
 
 def classify_two_spin(f: PBFunction) -> TwoSpinVerdict:
@@ -156,12 +145,7 @@ class UpDownVerdict:
     all_lsm: bool
 
     def record(self) -> list[tuple[str, str]]:
-        return [
-            ("tag", self.tag.value),
-            ("bis_easy", record_value(self.bis_easy)),
-            ("all_product_type", record_value(self.all_product_type)),
-            ("all_lsm", record_value(self.all_lsm)),
-        ]
+        return record_fields(self)
 
 
 def classify_with_updown(family: Iterable[PBFunction]) -> UpDownVerdict:
@@ -199,11 +183,7 @@ class RelTrichotomy:
     all_im2: bool
 
     def record(self) -> list[tuple[str, str]]:
-        return [
-            ("tag", self.tag.value),
-            ("all_affine", record_value(self.all_affine)),
-            ("all_im2", record_value(self.all_im2)),
-        ]
+        return record_fields(self)
 
 
 def classify_relations(relations: Iterable[SupportRelation]) -> RelTrichotomy:

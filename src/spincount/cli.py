@@ -27,6 +27,7 @@ from .funcs import (
     parse_rational,
     property_report,
     record_value,
+    table_text,
 )
 from .gadgets import (
     GadgetError,
@@ -66,10 +67,6 @@ def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
     if any(v < 0 for v in values):
         return SignedTable.from_values(arity, values)
     return PBFunction.from_values(arity, values)
-
-
-def _table_str(table: Sequence[Fraction]) -> str:
-    return " ".join(str(v) for v in table)
 
 
 def _emit(record: list[tuple[str, str]], machine: bool) -> None:
@@ -123,7 +120,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         out = inverse_fourier(signed)
     else:
         out = fourier(fn)
-    record = [("arity", str(out.arity)), ("table", _table_str(out.table))]
+    record = [("arity", str(out.arity)), ("table", table_text(out.table))]
     _emit(record, args.machine)
     return 0
 
@@ -133,8 +130,8 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     if args.construction == "updown":
         pair = make_up_down(f)
         record = [
-            ("up", _table_str(pair.up.table)),
-            ("down", _table_str(pair.down.table)),
+            ("up", table_text(pair.up.table)),
+            ("down", table_text(pair.down.table)),
             ("swapped", record_value(pair.swapped)),
             ("up_formula", serialize_pps(pair.up_formula)),
             ("down_formula", serialize_pps(pair.down_formula)),
@@ -146,14 +143,14 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         if args.up is not None:
             up = _require_function(parse_function_literal(args.up), "--up")
         sym, report = symmetrize(f, args.mode, up)
-        record = [("table", _table_str(sym.table))] + report.record()
+        record = [("table", table_text(sym.table))] + report.record()
     elif args.construction == "extract":
         if args.fun2 is None:
             raise ValueError("extract needs --fun2")
         g = _require_function(parse_function_literal(args.fun2), "--fun2")
         got = extract_nonlsm_binary(f, g)
         record = [
-            ("table", _table_str(got.function.table)),
+            ("table", table_text(got.function.table)),
             ("route", got.route),
             ("formula", serialize_pps(got.formula)),
         ]
@@ -163,7 +160,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         normalized, scale = normalize_unary(f)
         pinned, power = approx_pin(normalized, parse_rational(args.eps))
         record = [
-            ("table", _table_str(pinned.table)),
+            ("table", table_text(pinned.table)),
             ("power", str(power)),
             ("scale", str(scale)),
         ]
@@ -176,9 +173,9 @@ def _cmd_pinning(args: argparse.Namespace) -> int:
     verdict = pinning_analysis(family)
     record = [("tag", verdict.tag.value), ("case", str(verdict.case))]
     if verdict.up is not None:
-        record.append(("up", _table_str(verdict.up.table)))
+        record.append(("up", table_text(verdict.up.table)))
     if verdict.down is not None:
-        record.append(("down", _table_str(verdict.down.table)))
+        record.append(("down", table_text(verdict.down.table)))
     if verdict.up_formula is not None:
         record.append(("up_formula", serialize_pps(verdict.up_formula)))
     if verdict.down_formula is not None:
@@ -189,13 +186,15 @@ def _cmd_pinning(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_z_exact(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.file)
-    z = z_exact(inst)
-    if args.machine:
+def _print_z(z: Fraction, machine: bool) -> None:
+    if machine:
         _emit([("z", str(z))], True)
     else:
         print(z)
+
+
+def _cmd_z_exact(args: argparse.Namespace) -> int:
+    _print_z(z_exact(_read_instance(args.file)), args.machine)
     return 0
 
 
@@ -208,11 +207,7 @@ def _cmd_z_estimate(args: argparse.Namespace) -> int:
     if isinstance(f, SignedTable):
         raise InstanceError("estimator needs a nonnegative function")
     cfg = EstimatorConfig(epsilon=parse_rational(args.epsilon), seed=args.seed)
-    z = estimate_z_fpras(f, inst, cfg)
-    if args.machine:
-        _emit([("z", str(z))], True)
-    else:
-        print(z)
+    _print_z(estimate_z_fpras(f, inst, cfg), args.machine)
     return 0
 
 

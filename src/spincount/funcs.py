@@ -10,6 +10,11 @@ Signed tables (Fourier coefficients, holographic images) use the same
 layout but may hold negative entries.  All arithmetic is exact; floats
 are rejected at the door.
 
+``table_text`` and ``record_fields`` are the one place that writes tables and
+records as text: the CLI, ``instances.serialize`` and every error message
+that shows a table go through ``table_text``, and every verdict's and
+report's ``record()`` through ``record_fields``.
+
 Every sum of products is evaluated by ``_sum_product``, the one place where
 evaluation reads the table layout: the clone operations below,
 ``instances.z_exact`` and ``gadgets.eval_pps``.
@@ -25,10 +30,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TypeVar, Union
 
 ARITY_CAP = 16
 
@@ -82,36 +87,42 @@ def _check_arity(arity: int) -> None:
         raise CapacityError(f"arity {arity} exceeds the cap of {ARITY_CAP}")
 
 
-def _coerce_table(arity: int, table: Iterable[Rational]) -> tuple[Fraction, ...]:
-    values = tuple(frac(v) for v in table)
-    if len(values) != 1 << arity:
-        raise ValueError(f"arity {arity} needs {1 << arity} values, got {len(values)}")
-    return values
+_TableT = TypeVar("_TableT", bound="_Table")
 
 
 @dataclass(frozen=True)
-class PBFunction:
-    """A nonnegative rational-valued function {0,1}**arity -> Q>=0."""
+class _Table:
+    """The shape both table kinds share: an arity and its 2**arity exact entries."""
 
     arity: int
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         _check_arity(self.arity)
-        values = _coerce_table(self.arity, self.table)
-        for v in values:
-            if v < 0:
-                raise ValueError(f"negative entry {v}; use SignedTable for signed data")
+        values = tuple(frac(v) for v in self.table)
+        if len(values) != 1 << self.arity:
+            raise ValueError(f"arity {self.arity} needs {1 << self.arity} values, got {len(values)}")
         object.__setattr__(self, "table", values)
 
     @classmethod
-    def from_values(cls, arity: int, values: Iterable[Rational]) -> "PBFunction":
+    def from_values(cls: type[_TableT], arity: int, values: Iterable[Rational]) -> _TableT:
         return cls(arity, tuple(frac(v) for v in values))
 
     def __call__(self, bits: Sequence[int]) -> Fraction:
         if len(bits) != self.arity:
             raise ValueError(f"expected {self.arity} bits, got {len(bits)}")
         return self.table[index_of(bits)]
+
+
+@dataclass(frozen=True)
+class PBFunction(_Table):
+    """A nonnegative rational-valued function {0,1}**arity -> Q>=0."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for v in self.table:
+            if v < 0:
+                raise ValueError(f"negative entry {v}; use SignedTable for signed data")
 
     def as_signed(self) -> "SignedTable":
         return SignedTable(self.arity, self.table)
@@ -121,29 +132,18 @@ class PBFunction:
 
 
 @dataclass(frozen=True)
-class SignedTable:
+class SignedTable(_Table):
     """A rational-valued function table with entries of arbitrary sign."""
-
-    arity: int
-    table: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        _check_arity(self.arity)
-        object.__setattr__(self, "table", _coerce_table(self.arity, self.table))
-
-    @classmethod
-    def from_values(cls, arity: int, values: Iterable[Rational]) -> "SignedTable":
-        return cls(arity, tuple(frac(v) for v in values))
-
-    def __call__(self, bits: Sequence[int]) -> Fraction:
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} bits, got {len(bits)}")
-        return self.table[index_of(bits)]
 
     def as_function(self) -> PBFunction:
         if any(v < 0 for v in self.table):
             raise ValueError("table has negative entries; not a PBFunction")
         return PBFunction(self.arity, self.table)
+
+
+def table_text(table: Iterable[Fraction]) -> str:
+    """A table's entries as text: each entry's str, separated by single spaces."""
+    return " ".join(str(v) for v in table)
 
 
 def binary(a: Rational, b: Rational, c: Rational, d: Rational) -> PBFunction:
@@ -345,12 +345,6 @@ def support(f: PBFunction) -> SupportRelation:
     return SupportRelation(k, nonzero)
 
 
-class RelationClass(enum.Enum):
-    AFFINE = "Affine"
-    IM2 = "IM2"
-    NEITHER = "Neither"
-
-
 def is_affine_relation(rel: SupportRelation) -> bool:
     """True iff the relation is the solution set of a GF(2) linear system."""
     points = sorted(index_of(t) for t in rel.tuples)
@@ -377,14 +371,6 @@ def is_and_or_closed(rel: SupportRelation) -> bool:
             if (a & b) not in pointset or (a | b) not in pointset:
                 return False
     return True
-
-
-def relation_class(rel: SupportRelation) -> RelationClass:
-    if is_affine_relation(rel):
-        return RelationClass.AFFINE
-    if is_and_or_closed(rel):
-        return RelationClass.IM2
-    return RelationClass.NEITHER
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +479,28 @@ def is_decreasing_permissive_unary(f: PBFunction) -> bool:
 
 
 def record_value(value: object) -> str:
-    """A value as machine records spell it: true, false, none, or its str."""
+    """A value as machine records spell it: true, false, none, an enum's value, or its str."""
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
     return str(value)
+
+
+def record_fields(obj: object) -> list[tuple[str, str]]:
+    """A dataclass's fields in order as (name, ``record_value``) pairs.
+
+    A field whose value equals its declared default is left out; a field
+    without a default is always written.
+    """
+    pairs = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value != f.default:
+            pairs.append((f.name, record_value(value)))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -515,6 +517,7 @@ class PropertyReport:
     affine_support: bool
     in_cp: bool
     in_sdp3: bool
+    # Binary functions only; None elsewhere, which records leave out.
     trivial: Optional[bool] = None
     ferromagnetic: Optional[bool] = None
     ising: Optional[bool] = None
@@ -522,15 +525,7 @@ class PropertyReport:
 
     def record(self) -> list[tuple[str, str]]:
         """Stable key=value pairs for the CLI's machine output."""
-        keys = (
-            "arity permissive pure pure_value lsm log_modular monotone "
-            "monotone_on_support support_join_closed affine_support in_cp in_sdp3"
-        ).split()
-        pairs = [(k, record_value(getattr(self, k))) for k in keys]
-        if self.arity == 2:
-            for k in ("trivial", "ferromagnetic", "ising", "symmetric"):
-                pairs.append((k, record_value(getattr(self, k))))
-        return pairs
+        return record_fields(self)
 
 
 def property_report(f: PBFunction) -> PropertyReport:
@@ -562,6 +557,33 @@ def property_report(f: PBFunction) -> PropertyReport:
 # Irredundant form and pin-monotonicity
 
 
+def _coordinate_classes(k: int, points: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Coordinates grouped by being forced pairwise equal or unequal on the points.
+
+    Each class lists (coordinate, parity against its first member), in
+    coordinate order and led by its least coordinate at parity 0.  On a
+    nonempty point set, a class's members of one parity are forced equal.
+    """
+    placed = [False] * k
+    classes: list[list[tuple[int, int]]] = []
+    for i in range(k):
+        if placed[i]:
+            continue
+        members = [(i, 0)]
+        placed[i] = True
+        for j in range(i + 1, k):
+            if placed[j]:
+                continue
+            if all(t[i] == t[j] for t in points):
+                members.append((j, 0))
+                placed[j] = True
+            elif all(t[i] != t[j] for t in points):
+                members.append((j, 1))
+                placed[j] = True
+        classes.append(members)
+    return classes
+
+
 def irredundant(f: PBFunction) -> tuple[PBFunction, tuple[tuple[int, ...], ...]]:
     """Identify coordinates forced equal on the support.
 
@@ -573,18 +595,12 @@ def irredundant(f: PBFunction) -> tuple[PBFunction, tuple[tuple[int, ...], ...]]
     singletons = tuple((j,) for j in range(k))
     if not nonzero:
         return f, singletons
-    blocks: list[list[int]] = []
-    placed = [False] * k
-    for i in range(k):
-        if placed[i]:
-            continue
-        block = [i]
-        placed[i] = True
-        for j in range(i + 1, k):
-            if not placed[j] and all(t[i] == t[j] for t in nonzero):
-                block.append(j)
-                placed[j] = True
-        blocks.append(block)
+    blocks = [
+        block
+        for members in _coordinate_classes(k, nonzero)
+        for block in ([c for c, p in members if p == 0], [c for c, p in members if p == 1])
+        if block
+    ]
     partition = _normalize_partition(k, blocks)
     if partition == singletons:
         return f, singletons
@@ -672,29 +688,10 @@ def product_form(f: PBFunction) -> Optional[ProductForm]:
     if not points:
         return ProductForm(k, Fraction(0), (), (), ())
 
-    # Group coordinates forced pairwise equal or unequal on the support.
-    placed = [False] * k
-    classes: list[list[tuple[int, int]]] = []  # (coordinate, parity vs class rep)
-    for i in range(k):
-        if placed[i]:
-            continue
-        members = [(i, 0)]
-        placed[i] = True
-        for j in range(i + 1, k):
-            if placed[j]:
-                continue
-            if all(t[i] == t[j] for t in points):
-                members.append((j, 0))
-                placed[j] = True
-            elif all(t[i] != t[j] for t in points):
-                members.append((j, 1))
-                placed[j] = True
-        classes.append(members)
-
     base = min(points, key=index_of)
     pinned: list[list[tuple[int, int]]] = []
     free: list[list[tuple[int, int]]] = []
-    for members in classes:
+    for members in _coordinate_classes(k, points):
         rep = members[0][0]
         if all(t[rep] == base[rep] for t in points):
             pinned.append(members)

@@ -42,6 +42,7 @@ from .funcs import (
     property_report,
     pure_value,
     sum_out,
+    table_text,
 )
 
 
@@ -174,7 +175,8 @@ def _verify_formula(
     actual = eval_pps(formula, registry)
     if actual.table != claimed.table:
         raise GadgetError(
-            f"{what}: formula evaluates to {actual.table}, construction claims {claimed.table}"
+            f"{what}: formula evaluates to {table_text(actual.table)}, "
+            f"construction claims {table_text(claimed.table)}"
         )
 
 
@@ -232,10 +234,10 @@ def symmetrize(
     result = eval_pps(formula, registry)
     report = property_report(result)
     if report.trivial:
-        raise GadgetError(f"mode {mode} output is trivial: {result.table}")
+        raise GadgetError(f"mode {mode} output is trivial: {table_text(result.table)}")
     for key, want in required.items():
         if getattr(report, key) != want:
-            raise GadgetError(f"mode {mode} output fails {key}={want}: {result.table}")
+            raise GadgetError(f"mode {mode} output fails {key}={want}: {table_text(result.table)}")
     return result, report
 
 
@@ -277,9 +279,9 @@ def make_up_down(f: PBFunction) -> UpDownPair:
     down_formula = PpsFormula(1, 1, ((("f", (0, 1)) if swapped else ("f", (1, 0))),))
     registry = {"f": f}
     if not is_increasing_permissive_unary(up):
-        raise GadgetError(f"row sums {up.table} are not strictly increasing permissive")
+        raise GadgetError(f"row sums {table_text(up.table)} are not strictly increasing permissive")
     if not is_decreasing_permissive_unary(down):
-        raise GadgetError(f"column sums {down.table} are not strictly decreasing permissive")
+        raise GadgetError(f"column sums {table_text(down.table)} are not strictly decreasing permissive")
     _verify_formula(up_formula, registry, up, "make_up_down up")
     _verify_formula(down_formula, registry, down, "make_up_down down")
     return UpDownPair(up, down, swapped, up_formula, down_formula, registry)
@@ -362,9 +364,9 @@ def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
         route = "composed"
     ra, rb, rc, rd = result.table
     if ra * rd >= rb * rc:
-        raise GadgetError(f"extracted function {result.table} is log-supermodular")
+        raise GadgetError(f"extracted function {table_text(result.table)} is log-supermodular")
     if is_trivial_binary(result):
-        raise GadgetError(f"extracted function {result.table} is trivial")
+        raise GadgetError(f"extracted function {table_text(result.table)} is trivial")
     _verify_formula(formula, registry, result, "extract_nonlsm_binary")
     return NonLsmBinary(result, route, formula, registry)
 
@@ -393,7 +395,8 @@ def approx_pin(u: PBFunction, eps: Fraction) -> tuple[PBFunction, int]:
         pin_high = False
     else:
         raise GadgetError(
-            f"unary {u.table} is not normalized strictly monotone (one entry 1, the other in (0,1))"
+            f"unary {table_text(u.table)} is not normalized strictly monotone "
+            "(one entry 1, the other in (0,1))"
         )
     # Jump below the answer with float logs, then settle upward exactly;
     # floor(log ratio) - 2 always undershoots the minimal exponent.
@@ -422,9 +425,7 @@ def normalize_unary(u: PBFunction) -> tuple[PBFunction, Fraction]:
     if u.arity != 1:
         raise GadgetError(f"normalize_unary needs a unary, got arity {u.arity}")
     if not (is_increasing_permissive_unary(u) or is_decreasing_permissive_unary(u)):
-        raise GadgetError(
-            f"unary {' '.join(str(v) for v in u.table)} is not strictly monotone permissive"
-        )
+        raise GadgetError(f"unary {table_text(u.table)} is not strictly monotone permissive")
     scale = max(u.table)
     return PBFunction(1, (u.table[0] / scale, u.table[1] / scale)), scale
 
@@ -459,9 +460,13 @@ class PinningVerdict:
             if self.up is None or self.down is None:
                 raise GadgetError("BothUnaries needs both unaries")
             if not is_increasing_permissive_unary(self.up):
-                raise GadgetError(f"up witness {self.up.table} is not strictly increasing permissive")
+                raise GadgetError(
+                    f"up witness {table_text(self.up.table)} is not strictly increasing permissive"
+                )
             if not is_decreasing_permissive_unary(self.down):
-                raise GadgetError(f"down witness {self.down.table} is not strictly decreasing permissive")
+                raise GadgetError(
+                    f"down witness {table_text(self.down.table)} is not strictly decreasing permissive"
+                )
             if self.up_formula is None or self.down_formula is None:
                 raise GadgetError("BothUnaries needs construction formulas")
             registry = self.registry()
@@ -471,7 +476,7 @@ class PinningVerdict:
             for f in self.family:
                 pure, _ = pure_value(f)
                 if not pure:
-                    raise GadgetError(f"AllPure verdict but {f.table} is not pure")
+                    raise GadgetError(f"AllPure verdict but {table_text(f.table)} is not pure")
         else:
             # FlippedMonotoneFamily is MonotoneFamily of the bit-flipped family.
             flipped = self.tag is PinningTag.FLIPPED_MONOTONE_FAMILY
@@ -507,17 +512,6 @@ def _one_bound(*grafts: tuple[PpsFormula, tuple[int, ...]]) -> PpsFormula:
     return builder.build()
 
 
-def _both_unaries(
-    case: int,
-    family: tuple[PBFunction, ...],
-    up: PBFunction,
-    up_formula: PpsFormula,
-    down: PBFunction,
-    down_formula: PpsFormula,
-) -> PinningVerdict:
-    return PinningVerdict(PinningTag.BOTH_UNARIES, case, family, up, down, up_formula, down_formula)
-
-
 def _case2(
     family: Sequence[PBFunction],
 ) -> Union[int, tuple[PBFunction, PpsFormula, PBFunction, PpsFormula]]:
@@ -539,7 +533,7 @@ def _case2(
     registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
     if h.table[1] == 0 or h.table[2] == 0 or h.table[3] != 0:
-        raise GadgetError(f"join-gap gadget has unexpected shape {h.table}")
+        raise GadgetError(f"join-gap gadget has unexpected shape {table_text(h.table)}")
     down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (up_formula, (1,)))
     return up, up_formula, eval_pps(down_formula, registry), down_formula
 
@@ -559,7 +553,7 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
         fi, gi = mos.index(False), mos_flip.index(False)
         down, down_formula = _unary_on_chain(fi, family[fi], lambda lo, hi: lo > hi > 0)
         up, up_formula = _unary_on_chain(gi, family[gi], lambda lo, hi: 0 < lo < hi)
-        return _both_unaries(1, family, up, up_formula, down, down_formula)
+        return PinningVerdict(PinningTag.BOTH_UNARIES, 1, family, up, down, up_formula, down_formula)
     if all(mos) != all(mos_flip):
         flipped = all(mos_flip)
         case = 3 if flipped else 2
@@ -573,7 +567,7 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
             up, up_formula, down, down_formula = (
                 bit_flip(down), _flip_deltas(down_formula), bit_flip(up), _flip_deltas(up_formula)
             )
-        return _both_unaries(case, family, up, up_formula, down, down_formula)
+        return PinningVerdict(PinningTag.BOTH_UNARIES, case, family, up, down, up_formula, down_formula)
     if all(pure_value(f)[0] for f in family):
         return PinningVerdict(PinningTag.ALL_PURE, 4, family)
     gi, g = next((i, f) for i, f in enumerate(family) if not pure_value(f)[0])
@@ -584,8 +578,8 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
     if h.table[0] != 0 or h.table[3] != 0 or not 0 < h.table[1] < h.table[2]:
-        raise GadgetError(f"pure-gap gadget has unexpected shape {h.table}")
+        raise GadgetError(f"pure-gap gadget has unexpected shape {table_text(h.table)}")
     up_formula = _one_bound((h_formula, (0, 1)), (h_formula, (0, 1)), (h_formula, (1, 0)))
     down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (h_formula, (1, 0)))
     up, down = eval_pps(up_formula, registry), eval_pps(down_formula, registry)
-    return _both_unaries(4, family, up, up_formula, down, down_formula)
+    return PinningVerdict(PinningTag.BOTH_UNARIES, 4, family, up, down, up_formula, down_formula)

@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
     EQ3,
@@ -40,6 +40,7 @@ from .funcs import (
     _sum_product,
     parse_rational,
     product_form,
+    table_text,
 )
 
 __all__ = [
@@ -313,8 +314,7 @@ def serialize(inst: Instance) -> str:
     csp = _as_csp(inst)
     lines = []
     for name, fn in csp.registry:
-        values = " ".join(str(v) for v in fn.table)
-        lines.append(f"fun {name} {fn.arity} {values}")
+        lines.append(f"fun {name} {fn.arity} {table_text(fn.table)}")
     for scope, name in csp.constraints:
         lines.append(f"con {name} {' '.join(scope)}")
     return "\n".join(lines) + "\n"
@@ -551,8 +551,25 @@ def _fresh_name(base: str, taken: Container[str]) -> str:
     return f"{base}.{i}"
 
 
-def _fresh_fn_name(base: str, registry: Mapping[str, Table], table: PBFunction) -> str:
-    return base if registry.get(base) == table else _fresh_name(base, registry)
+def _with_function(
+    csp: CspInstance, base: str, table: PBFunction
+) -> tuple[str, tuple[tuple[str, Table], ...]]:
+    """(name, csp's registry holding table under name): base if it names table, else a fresh name."""
+    names = csp.registry_map()
+    if names.get(base) == table:
+        return base, csp.registry
+    name = _fresh_name(base, names)
+    return name, csp.registry + ((name, table),)
+
+
+def _rename_slots(
+    constraints: Iterable[tuple[tuple[str, ...], str]], renames: Mapping[str, Iterable[str]]
+) -> list[tuple[tuple[str, ...], str]]:
+    """The constraints with each slot of a renamed variable given its next new name, in slot order."""
+    ends = {v: iter(names) for v, names in renames.items()}
+    return [
+        (tuple(next(ends[v]) if v in ends else v for v in scope), name) for scope, name in constraints
+    ]
 
 
 @dataclass(frozen=True)
@@ -586,12 +603,9 @@ def to_holant(inst: Instance) -> HolantConversion:
     if all(d == 2 for d in degrees.values()):
         # Just counted: every variable fills two slots.
         return _certify(csp, _unchecked(HolantInstance, csp))
-    eq_name = _fresh_fn_name("eq3", csp.registry_map(), EQ3)
-    registry = list(csp.registry)
-    if eq_name not in csp.registry_map():
-        registry.append((eq_name, EQ3))
-    # Each variable of degree >= 3 yields its end names in slot order.
-    renames: dict[str, Iterator[str]] = {}
+    eq_name, registry = _with_function(csp, "eq3", EQ3)
+    # Each variable of degree >= 3 is renamed to its end names in slot order.
+    renames: dict[str, list[str]] = {}
     extra: list[tuple[tuple[str, ...], str]] = []
     taken = _dotted_prefixes(csp.variables)
     for v, d in degrees.items():
@@ -608,20 +622,16 @@ def to_holant(inst: Instance) -> HolantConversion:
         else:
             ends = [f"{prefix}{i + 1}" for i in range(d)]
             link = [f"{prefix}{d + i}" for i in range(1, d - 2)]
-            renames[v] = iter(ends)
+            renames[v] = ends
             for i in range(1, d - 1):
                 first = ends[0] if i == 1 else link[i - 2]
                 third = ends[d - 1] if i == d - 2 else link[i - 1]
                 extra.append(((first, ends[i], third), eq_name))
-    constraints = [
-        (tuple(next(renames[v]) if v in renames else v for v in scope), name)
-        for scope, name in csp.constraints
-    ]
-    constraints += extra
+    constraints = _rename_slots(csp.constraints, renames) + extra
     # Valid by construction from a valid csp: eq_name is fresh or names EQ3,
     # junction names are a fresh prefix of a valid name plus digits, and each
     # variable fills two slots.  Variables are inferred as CspInstance.build does.
-    out = _unchecked(CspInstance, _first_use_order(constraints), tuple(registry), tuple(constraints))
+    out = _unchecked(CspInstance, _first_use_order(constraints), registry, tuple(constraints))
     return _certify(csp, _unchecked(HolantInstance, out))
 
 
@@ -693,10 +703,7 @@ def near_assignment_total(inst: HolantInstance) -> Fraction:
         raise CapacityError(f"{n} variables exceeds the near-assignment cap {NEAR_CAP}")
     if n < 2:
         return Fraction(0)
-    neq_name = _fresh_fn_name("neq", csp.registry_map(), NEQ)
-    registry = list(csp.registry)
-    if neq_name not in csp.registry_map():
-        registry.append((neq_name, NEQ))
+    neq_name, registry = _with_function(csp, "neq", NEQ)
     total = Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
@@ -706,24 +713,14 @@ def near_assignment_total(inst: HolantInstance) -> Fraction:
 
 
 def _split_pair(
-    csp: CspInstance, u: str, v: str, neq_name: str, registry: list[tuple[str, Table]]
+    csp: CspInstance, u: str, v: str, neq_name: str, registry: tuple[tuple[str, Table], ...]
 ) -> CspInstance:
     taken = _dotted_prefixes(csp.variables)
-    constraints = []
-    seen: dict[str, int] = {u: 0, v: 0}
     renames: dict[str, list[str]] = {}
     for w in (u, v):
         prefix = _fresh_prefix(w, taken, "split")
         renames[w] = [f"{prefix}1", f"{prefix}2"]
-    for scope, name in csp.constraints:
-        new_scope = []
-        for w in scope:
-            if w in seen:
-                new_scope.append(renames[w][seen[w]])
-                seen[w] += 1
-            else:
-                new_scope.append(w)
-        constraints.append((tuple(new_scope), name))
+    constraints = _rename_slots(csp.constraints, renames)
     for w in (u, v):
-        constraints.append(((renames[w][0], renames[w][1]), neq_name))
-    return CspInstance.build(tuple(registry), constraints)
+        constraints.append((tuple(renames[w]), neq_name))
+    return CspInstance.build(registry, constraints)

@@ -10,8 +10,9 @@ Markov chain telescoped over vertex removals.  The chain runs on the weighted
 graph and simulates only the steps that change its state; ``integerize``
 (weights cleared into parallel unit edges) defines its law but is never built.
 ``estimate_z_fpras`` answers exactly by ``instances.z_exact`` whenever its
-elimination budget allows, and runs the pipeline only past it, and only when
-the chain's predicted time is within ``CHAIN_BUDGET_S``.
+elimination budget allows, and runs the pipeline only past it.
+``estimate_pm`` counts graphs of at most ``EXACT_CAP`` vertices exactly, and
+runs the chain only when its predicted time is within ``CHAIN_BUDGET_S``.
 
 All counts and estimates are exact rationals; floats and randomness enter only
 through the chain's sampling law, and a fixed config seed fixes the estimate.
@@ -82,7 +83,7 @@ _STEPS_COEFF = 2
 _SAMPLE_COEFF = 2
 # estimate_pm at epsilon 1/10 took 93 s on a 138-vertex triangle graph (2 cores,
 # Python 3.11), growing about as the vertex count cubed and epsilon**-2 (its
-# sample target).  estimate_z_fpras refuses a chain predicted past CHAIN_BUDGET_S.
+# sample target).  estimate_pm refuses a chain predicted past CHAIN_BUDGET_S.
 _CHAIN_S_PER_VERTEX_CUBED = 93 / 138**3
 CHAIN_BUDGET_S = 600
 
@@ -623,24 +624,29 @@ def _condition_level(
 def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
     """Seeded randomized perfect-matching weight of a weighted multigraph.
 
-    Telescopes vertex-pair removals down to ``EXACT_CAP`` vertices, each
-    level estimated by the matching chain; the remainder is counted exactly.
-    Odd orders, empty graphs, and graphs without perfect matchings are
-    answered exactly without sampling.
+    A graph of at most ``EXACT_CAP`` vertices is counted exactly.  Past it,
+    vertex-pair removals are telescoped down to ``EXACT_CAP`` vertices, each
+    level estimated by the matching chain, and the remainder is counted
+    exactly.  Odd orders and graphs without perfect matchings are answered
+    exactly without sampling.  A chain predicted to take over
+    ``CHAIN_BUDGET_S`` seconds raises CapacityError before it starts.
     """
-    bundles = _bundles(g)
-    names = list(g.vertices)
-    n = len(names)
-    if n == 0:
-        return _ONE
+    n = len(g.vertices)
+    cap = EXACT_CAP
+    if n <= cap:
+        return count_pm_exact(g)
     if n % 2:
         return _ZERO
+    seconds = _CHAIN_S_PER_VERTEX_CUBED * n**3 / float(10 * cfg.epsilon) ** 2
+    if seconds > CHAIN_BUDGET_S:
+        raise CapacityError(f"the chain on {n} vertices needs ~{seconds:.3g} s, past {CHAIN_BUDGET_S}")
+    bundles = _bundles(g)
     start = _maximum_matching(n, bundles)
     if start is None:
         return _ZERO
-    cap = EXACT_CAP
+    names = list(g.vertices)
     d = _denominator_lcm(g)
-    levels_total = max(0, (n - cap + 1) // 2)
+    levels_total = (n - cap + 1) // 2
     result = _ONE
     level = 0
     while n > cap:
@@ -665,9 +671,8 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
     is ``z_exact`` unless that raises CapacityError.  Past its budget the
     pipeline runs, on the flipped instance (same Z) when only the bit flip is
     nonnegative: ``estimate_pm`` supplies the matching count and all tracked
-    constants are multiplied back exactly.  A triangle graph whose chain is
-    predicted to take over ``CHAIN_BUDGET_S`` seconds raises CapacityError
-    before the chain starts.
+    constants are multiplied back exactly.  When ``estimate_pm`` refuses the
+    triangle graph's chain, the CapacityError names both predictions.
     """
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
@@ -698,10 +703,8 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
         return _ZERO
     assert form.holant is not None
     graph = build_triangle_graph(form.holant)
-    n = len(graph.vertices)
-    seconds = _CHAIN_S_PER_VERTEX_CUBED * n**3 / float(10 * cfg.epsilon) ** 2
-    if seconds > CHAIN_BUDGET_S:
-        raise CapacityError(
-            f"{too_costly}; the chain on {n} vertices needs ~{seconds:.3g} s, past {CHAIN_BUDGET_S}"
-        )
-    return form.kappa / 2 * estimate_pm(graph, cfg)
+    try:
+        count = estimate_pm(graph, cfg)
+    except CapacityError as exc:
+        raise CapacityError(f"{too_costly}; {exc}") from exc
+    return form.kappa / 2 * count

@@ -126,6 +126,15 @@ def test_updown_empty_family_is_fp():
     assert classify_with_updown([]).tag is UpDownTag.FP
 
 
+def test_updown_record_frozen():
+    assert classify_with_updown([binary(2, 1, 1, 2)]).record() == [
+        ("tag", "BIS_hard"),
+        ("bis_easy", "true"),
+        ("all_product_type", "false"),
+        ("all_lsm", "true"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # relation trichotomy
 
@@ -141,6 +150,14 @@ def test_relations_implication_branch():
     assert verdict.tag is RelTag.IM2_BIS
     assert verdict.all_affine is False
     assert verdict.all_im2 is True
+
+
+def test_relations_record_frozen():
+    assert classify_relations([support(EQ), support(IMP)]).record() == [
+        ("tag", "IM2_BIS"),
+        ("all_affine", "false"),
+        ("all_im2", "true"),
+    ]
 
 
 def test_relations_sat_branch():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from spincount.classify import RelTag, classify_relations
 from spincount.funcs import (
     DELTA0,
     DELTA1,
@@ -41,8 +42,6 @@ from spincount.funcs import (
     product,
     product_form,
     property_report,
-    relation_class,
-    RelationClass,
     sum_out,
     support,
     unary,
@@ -74,6 +73,10 @@ def test_binary_matrix_order():
 def test_negative_value_rejected():
     with pytest.raises(ValueError):
         PBFunction.from_values(1, (1, -1))
+
+
+def test_table_kinds_with_equal_fields_differ():
+    assert PBFunction(1, (1, 2)) != SignedTable(1, (1, 2))
 
 
 def test_arity_cap_enforced():
@@ -298,10 +301,10 @@ def test_operator_random_consistency():
 
 
 def test_support_and_relation_class():
-    assert relation_class(support(EQ)) is RelationClass.AFFINE
-    assert relation_class(support(IMP)) is RelationClass.IM2
+    assert classify_relations([support(EQ)]).tag is RelTag.AFFINE_FP
+    assert classify_relations([support(IMP)]).tag is RelTag.IM2_BIS
     nae = PBFunction.from_values(3, (0, 1, 1, 1, 1, 1, 1, 0))
-    assert relation_class(support(nae)) is RelationClass.NEITHER
+    assert classify_relations([support(nae)]).tag is RelTag.SAT_EQUIVALENT
 
 
 # ---------------------------------------------------------------------------

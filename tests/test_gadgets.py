@@ -216,6 +216,14 @@ def test_approx_pin_rejects_unnormalized():
         approx_pin(unary(1, 3), Fraction(1, 10))
 
 
+def test_approx_pin_error_writes_the_table_as_text():
+    with pytest.raises(GadgetError) as info:
+        approx_pin(unary(3, 1), Fraction(1, 100))
+    assert str(info.value) == (
+        "unary 3 1 is not normalized strictly monotone (one entry 1, the other in (0,1))"
+    )
+
+
 # ---------------------------------------------------------------------------
 # pinning analysis
 
@@ -387,8 +395,9 @@ def test_pinning_verdict_fixtures_are_valid():
     ],
 )
 def test_pinning_verdict_rejects(verdict, changes):
-    with pytest.raises(GadgetError):
+    with pytest.raises(GadgetError) as info:
         dataclasses.replace(verdict, **changes)
+    assert "Fraction(" not in str(info.value)
 
 
 def test_pinning_empty_family_is_vacuously_pure():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -377,6 +379,37 @@ def test_estimate_pm_degenerate_cases():
 def test_estimate_pm_exact_below_cap():
     g = build_triangle_graph(PRISM)
     assert estimate_pm(g, EstimatorConfig()) == 4
+
+
+def test_estimate_pm_below_cap_loads_no_networkx():
+    """A graph within EXACT_CAP is counted exactly, with no start matching looked for."""
+    code = (
+        "import sys\n"
+        "from spincount.funcs import XOR3\n"
+        "from spincount.instances import HolantInstance\n"
+        "from spincount.matching import EstimatorConfig, build_triangle_graph, estimate_pm\n"
+        "prism = HolantInstance.build({'w': XOR3}, [(('x', 'y', 'z'), 'w')] * 2)\n"
+        "print(estimate_pm(build_triangle_graph(prism), EstimatorConfig()), 'networkx' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "4 False\n"
+
+
+def test_estimate_pm_refuses_a_long_chain_before_matching(monkeypatch):
+    """K_18's 1722-vertex triangle graph is predicted at hours of chain time: refused
+    at once, before a start matching is looked for."""
+    f = binary(2, 1, 1, 2)
+    g = build_triangle_graph(holant_fourier_form(lift_instance(clique_instance(f, 18))).holant)
+    assert len(g.vertices) == 1722
+
+    def no_matching(*args):
+        raise AssertionError("estimate_pm looked for a start matching")
+
+    monkeypatch.setattr(matching, "_maximum_matching", no_matching)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="the chain on 1722 vertices needs"):
+        estimate_pm(g, EstimatorConfig())
+    assert time.perf_counter() - start <= 2.0
 
 
 def test_estimate_pm_weighted_single_edge(monkeypatch):
