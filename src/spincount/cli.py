@@ -1,7 +1,9 @@
 """Command-line front door for classifiers, evaluators, gadgets, and the estimator.
 
-Function literals accept the file-format value order `<arity> <values...>`;
-a bare power-of-two run of values is also accepted and its arity inferred.
+Function literals accept the file-format value order `<arity> <values...>`
+for an arity of at least 1, as the file format does; a bare power-of-two run
+of values is also accepted and its arity inferred, so "0 1" is the unary
+(0, 1) and a single value such as "5" is a nullary function.
 Output is line-oriented; ``--machine`` switches to one ``key=value`` record
 per result with values quoted when they contain whitespace.
 
@@ -48,12 +50,12 @@ from .matching import (
 )
 
 def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
-    """Read `<arity> <values...>`, falling back to a bare power-of-two table."""
+    """Read `<arity> <values...>` with arity >= 1, falling back to a bare power-of-two table."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty function literal")
     first = tokens[0]
-    if first.isdigit() and int(first) <= ARITY_CAP and len(tokens) - 1 == 1 << int(first):
+    if first.isdigit() and 1 <= int(first) <= ARITY_CAP and len(tokens) - 1 == 1 << int(first):
         arity = int(first)
         values = [parse_rational(t) for t in tokens[1:]]
     elif len(tokens) & (len(tokens) - 1) == 0:
@@ -214,7 +216,7 @@ def _cmd_z_estimate(args: argparse.Namespace) -> int:
 def _cmd_holant_check(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
     try:
-        HolantInstance(inst)
+        HolantInstance(inst.variables, inst.registry, inst.constraints)
         holant = True
     except InstanceError:
         holant = False
@@ -224,7 +226,7 @@ def _cmd_holant_check(args: argparse.Namespace) -> int:
 
 def _cmd_triangle_graph(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
-    graph = build_triangle_graph(HolantInstance(inst))
+    graph = build_triangle_graph(HolantInstance(inst.variables, inst.registry, inst.constraints))
     sys.stdout.write(serialize_graph(graph))
     return 0
 

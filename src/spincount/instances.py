@@ -3,7 +3,9 @@
 An instance is a list of constraints over named Boolean variables, each
 constraint applying a named table to a scope of variables (repeats allowed).
 The partition function is the sum over all assignments of the product of
-constraint values.
+constraint values.  A ``HolantInstance`` is a ``CspInstance`` in which every
+variable fills exactly two slots; its constructor checks that too, and every
+function here that takes a ``CspInstance`` takes it as it is.
 
 The text format is line oriented:
 
@@ -189,49 +191,14 @@ class CspInstance:
 
 
 @dataclass(frozen=True)
-class HolantInstance:
+class HolantInstance(CspInstance):
     """A CspInstance in which every variable occurs in exactly two slots."""
 
-    csp: CspInstance
-
     def __post_init__(self) -> None:
-        bad = {v: d for v, d in self.csp.degrees().items() if d != 2}
+        super().__post_init__()
+        bad = {v: d for v, d in self.degrees().items() if d != 2}
         if bad:
             raise InstanceError(f"not a holant instance; occurrence counts off at {bad!r}")
-
-    @classmethod
-    def build(
-        cls,
-        registry: Mapping[str, Table] | Iterable[tuple[str, Table]],
-        constraints: Iterable[tuple[Sequence[str], str]],
-        variables: Optional[Sequence[str]] = None,
-    ) -> "HolantInstance":
-        return cls(CspInstance.build(registry, constraints, variables))
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.csp.variables
-
-    @property
-    def registry(self) -> tuple[tuple[str, Table], ...]:
-        return self.csp.registry
-
-    @property
-    def constraints(self) -> tuple[tuple[tuple[str, ...], str], ...]:
-        return self.csp.constraints
-
-    def registry_map(self) -> dict[str, Table]:
-        return self.csp.registry_map()
-
-    def has_signed(self) -> bool:
-        return self.csp.has_signed()
-
-
-Instance = Union[CspInstance, HolantInstance]
-
-
-def _as_csp(inst: Instance) -> CspInstance:
-    return inst.csp if isinstance(inst, HolantInstance) else inst
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +270,18 @@ def parse(text: str) -> CspInstance:
     return _unchecked(CspInstance, _first_use_order(constraints), tuple(registry), tuple(constraints))
 
 
-def serialize(inst: Instance) -> str:
+def serialize(inst: CspInstance) -> str:
     """Emit the line format.
 
-    ``parse(serialize(x))`` equals x (``x.csp`` for a holant x) when every
+    ``parse(serialize(x))`` has x's fields, as a ``CspInstance``, when every
     variable of x is used and x lists its variables in first-use order, as
     ``parse`` declares them.  Its tables must also read back as they are:
     arity at least 1, and a negative entry in every ``SignedTable``.
     """
-    csp = _as_csp(inst)
     lines = []
-    for name, fn in csp.registry:
+    for name, fn in inst.registry:
         lines.append(f"fun {name} {fn.arity} {table_text(fn.table)}")
-    for scope, name in csp.constraints:
+    for scope, name in inst.constraints:
         lines.append(f"con {name} {' '.join(scope)}")
     return "\n".join(lines) + "\n"
 
@@ -383,16 +349,15 @@ def _elimination_plan(
     return plan
 
 
-def z_exact(inst: Instance) -> Fraction:
+def z_exact(inst: CspInstance) -> Fraction:
     """Partition function by bucket elimination along ``_elimination_plan``.
 
     Exact, signed registries allowed.  A plan predicted to take more than
     ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
     built.
     """
-    csp = _as_csp(inst)
-    atoms = _factors(csp)
-    plan = _elimination_plan(len(csp.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
+    atoms = _factors(inst)
+    plan = _elimination_plan(len(inst.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
     total = math.prod((table[0] for table, scope in atoms if not scope), start=Fraction(1))
     for v, bucket, free in plan:
         # The bucket's product summed over v: free variables first, v bound.
@@ -454,7 +419,7 @@ def _power_product(factors: Iterable[tuple[Fraction, int]]) -> Fraction:
     return math.prod((values[key] ** count for key, count in counts.items()), start=Fraction(1))
 
 
-def z_product_type(inst: Instance) -> Fraction:
+def z_product_type(inst: CspInstance) -> Fraction:
     """Polynomial-time partition function for product-type registries.
 
     Factors every constraint into a constant, unary weights, and equality or
@@ -464,22 +429,21 @@ def z_product_type(inst: Instance) -> Fraction:
     of the registry's few tables, so each product is built from how often each
     distinct factor occurs (``_power_product``), not as a running product.
     """
-    csp = _as_csp(inst)
-    if csp.has_signed():
+    if inst.has_signed():
         raise InstanceError("signed tables are not product-type inputs")
-    names = csp.registry_map()
+    names = inst.registry_map()
     forms = {}
-    for name in {name for _, name in csp.constraints}:
+    for name in {name for _, name in inst.constraints}:
         form = product_form(names[name])
         if form is None:
             raise InstanceError(f"function {name!r} is not product-type")
         forms[name] = form
-    n = len(csp.variables)
-    index = {v: i for i, v in enumerate(csp.variables)}
+    n = len(inst.variables)
+    index = {v: i for i, v in enumerate(inst.variables)}
     union = _ParityUnion(n)
     uses: dict[str, int] = {}
     feasible = True
-    for scope, name in csp.constraints:
+    for scope, name in inst.constraints:
         uses[name] = uses.get(name, 0) + 1
         form = forms[name]
         for a, b in form.eq_pairs:
@@ -493,7 +457,7 @@ def z_product_type(inst: Instance) -> Fraction:
     # its component's root, multiplies that component's two terms by u(p) and
     # u(1 - p); count each such placement once.
     placements: dict[tuple[int, int, str, int], int] = {}
-    for scope, name in csp.constraints:
+    for scope, name in inst.constraints:
         for j, (coord, _) in enumerate(forms[name].unaries):
             root, p = union.find(index[scope[coord]])
             key = (root, p, name, j)
@@ -587,7 +551,7 @@ class HolantConversion:
     verified: bool
 
 
-def to_holant(inst: Instance) -> HolantConversion:
+def to_holant(inst: CspInstance) -> HolantConversion:
     """Rewire every variable to occur exactly twice, preserving the partition function.
 
     Degree-2 variables pass through.  A degree-d variable with d >= 3 is
@@ -596,18 +560,17 @@ def to_holant(inst: Instance) -> HolantConversion:
     free end; degree 0 gets two folded junctions (value 2, matching the free
     variable's sum).
     """
-    csp = _as_csp(inst)
-    if csp.has_signed():
+    if inst.has_signed():
         raise InstanceError("signed registries cannot be converted")
-    degrees = csp.degrees()
+    degrees = inst.degrees()
     if all(d == 2 for d in degrees.values()):
         # Just counted: every variable fills two slots.
-        return _certify(csp, _unchecked(HolantInstance, csp))
-    eq_name, registry = _with_function(csp, "eq3", EQ3)
+        return _certify(inst, _unchecked(HolantInstance, inst.variables, inst.registry, inst.constraints))
+    eq_name, registry = _with_function(inst, "eq3", EQ3)
     # Each variable of degree >= 3 is renamed to its end names in slot order.
     renames: dict[str, list[str]] = {}
     extra: list[tuple[tuple[str, ...], str]] = []
-    taken = _dotted_prefixes(csp.variables)
+    taken = _dotted_prefixes(inst.variables)
     for v, d in degrees.items():
         if d == 2:
             continue
@@ -627,18 +590,18 @@ def to_holant(inst: Instance) -> HolantConversion:
                 first = ends[0] if i == 1 else link[i - 2]
                 third = ends[d - 1] if i == d - 2 else link[i - 1]
                 extra.append(((first, ends[i], third), eq_name))
-    constraints = _rename_slots(csp.constraints, renames) + extra
-    # Valid by construction from a valid csp: eq_name is fresh or names EQ3,
+    constraints = _rename_slots(inst.constraints, renames) + extra
+    # Valid by construction from a valid instance: eq_name is fresh or names EQ3,
     # junction names are a fresh prefix of a valid name plus digits, and each
     # variable fills two slots.  Variables are inferred as CspInstance.build does.
-    out = _unchecked(CspInstance, _first_use_order(constraints), registry, tuple(constraints))
-    return _certify(csp, _unchecked(HolantInstance, out))
+    out = _unchecked(HolantInstance, _first_use_order(constraints), registry, tuple(constraints))
+    return _certify(inst, out)
 
 
 def _certify(csp: CspInstance, holant: HolantInstance) -> HolantConversion:
     if len(csp.variables) <= _CERT_CAP and len(holant.variables) <= _CERT_CAP:
         try:
-            z_src, z_hol = z_exact(csp), z_exact(holant.csp)
+            z_src, z_hol = z_exact(csp), z_exact(holant)
         except CapacityError:  # past the elimination budget: no certificate
             return HolantConversion(holant, None, None, False)
         assert z_src == z_hol, f"conversion changed the partition function: {z_src} != {z_hol}"
@@ -682,7 +645,7 @@ def holographic_transform(
     if off != 0 or c != c2 or c == 0:
         raise InstanceError("matrix times its transpose is not a nonzero scalar identity")
     registry = tuple((name, _transform_table(fn, m)) for name, fn in inst.registry)
-    return HolantInstance(CspInstance(inst.variables, registry, inst.constraints))
+    return HolantInstance(inst.variables, registry, inst.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +660,16 @@ def near_assignment_total(inst: HolantInstance) -> Fraction:
     """
     if inst.has_signed():
         raise InstanceError("signed registries have no near-assignment total")
-    csp = inst.csp
-    n = len(csp.variables)
+    n = len(inst.variables)
     if n > NEAR_CAP:
         raise CapacityError(f"{n} variables exceeds the near-assignment cap {NEAR_CAP}")
     if n < 2:
         return Fraction(0)
-    neq_name, registry = _with_function(csp, "neq", NEQ)
+    neq_name, registry = _with_function(inst, "neq", NEQ)
     total = Fraction(0)
     for i in range(n):
         for j in range(i + 1, n):
-            split = _split_pair(csp, csp.variables[i], csp.variables[j], neq_name, registry)
+            split = _split_pair(inst, inst.variables[i], inst.variables[j], neq_name, registry)
             total += z_exact(split)
     return total
 

@@ -43,9 +43,7 @@ from .funcs import (
 from .instances import (
     CspInstance,
     HolantInstance,
-    Instance,
     InstanceError,
-    _as_csp,
     _fresh_name,
     _unchecked,
     to_holant,
@@ -195,19 +193,18 @@ def sdp3_lift(f: PBFunction) -> PBFunction:
     return lifted
 
 
-def lift_instance(inst: Instance) -> CspInstance:
+def lift_instance(inst: CspInstance) -> CspInstance:
     """Rewrite a single-binary-function instance over the lifted ternary function.
 
     One fresh variable is appended and shared by every constraint; the
     partition function exactly doubles.
     """
-    csp = _as_csp(inst)
-    used = sorted({name for _, name in csp.constraints})
+    used = sorted({name for _, name in inst.constraints})
     if len(used) > 1:
         raise InstanceError(f"lift needs a single constraint function, got {used}")
-    names = csp.registry_map()
-    registry = list(csp.registry)
-    aux = _fresh_name("y", set(csp.variables))
+    names = inst.registry_map()
+    registry = list(inst.registry)
+    aux = _fresh_name("y", set(inst.variables))
     constraints: list[tuple[tuple[str, ...], str]] = []
     if used:
         fn = names[used[0]]
@@ -217,12 +214,12 @@ def lift_instance(inst: Instance) -> CspInstance:
             raise InstanceError(f"lift needs a binary function, {used[0]!r} has arity {fn.arity}")
         lifted_name = _fresh_name(f"{used[0]}.lift", set(names))
         registry.append((lifted_name, sdp3_lift(fn)))
-        for scope, _ in csp.constraints:
+        for scope, _ in inst.constraints:
             constraints.append(((scope[0], scope[1], aux), lifted_name))
-    # Valid by construction from a valid csp: aux and lifted_name are fresh
-    # valid names, and every scope is two of its variables plus aux under the
-    # arity-3 lift.
-    return _unchecked(CspInstance, csp.variables + (aux,), tuple(registry), tuple(constraints))
+    # Valid by construction from a valid instance: aux and lifted_name are
+    # fresh valid names, and every scope is two of its variables plus aux
+    # under the arity-3 lift.
+    return _unchecked(CspInstance, inst.variables + (aux,), tuple(registry), tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def _on_fourier_form(fn: PBFunction) -> bool:
     return fn.arity == 3 and t[0] == 1 and all(t[i] == 0 for i in (1, 2, 4, 7))
 
 
-def holant_fourier_form(inst: Instance) -> FourierNormalForm:
+def holant_fourier_form(inst: CspInstance) -> FourierNormalForm:
     """Convert an arity-3 instance to a holant one over normalized Fourier tables.
 
     Every used function must have nonnegative Fourier coefficients vanishing
@@ -256,9 +253,8 @@ def holant_fourier_form(inst: Instance) -> FourierNormalForm:
     conversion are transformed along with everything else (their image is the
     even-parity indicator).
     """
-    csp = _as_csp(inst)
-    names = csp.registry_map()
-    for name in sorted({name for _, name in csp.constraints}):
+    names = inst.registry_map()
+    for name in sorted({name for _, name in inst.constraints}):
         fn = names[name]
         if isinstance(fn, SignedTable):
             raise InstanceError("signed registries have no Fourier normal form")
@@ -270,7 +266,7 @@ def holant_fourier_form(inst: Instance) -> FourierNormalForm:
             raise InstanceError(
                 f"function {name!r} has Fourier mass on odd-weight inputs or negative coefficients"
             )
-    hol = to_holant(csp).holant
+    hol = to_holant(inst).holant
     used_counts: dict[str, int] = {}
     for _, name in hol.constraints:
         used_counts[name] = used_counts.get(name, 0) + 1
@@ -292,8 +288,8 @@ def holant_fourier_form(inst: Instance) -> FourierNormalForm:
     kappa = Fraction(2) ** (3 * m_h - n_h) * constant
     # hol is a holant instance: only unused tables were dropped, and each
     # kept one is replaced by an arity-3 table.
-    out = _unchecked(CspInstance, hol.variables, tuple(registry), hol.constraints)
-    return FourierNormalForm(_unchecked(HolantInstance, out), kappa, False)
+    out = _unchecked(HolantInstance, hol.variables, tuple(registry), hol.constraints)
+    return FourierNormalForm(out, kappa, False)
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +660,21 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
 # End-to-end pipeline
 
 
-def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fraction:
+def estimate_z_fpras(f: PBFunction, inst: CspInstance, cfg: EstimatorConfig) -> Fraction:
     """Partition-function estimate for an instance over one binary f.
 
     f or its bit flip must have nonnegative Fourier coefficients.  The answer
     is ``z_exact`` unless that raises CapacityError.  Past its budget the
-    pipeline runs, on the flipped instance (same Z) when only the bit flip is
-    nonnegative: ``estimate_pm`` supplies the matching count and all tracked
-    constants are multiplied back exactly.  When ``estimate_pm`` refuses the
-    triangle graph's chain, the CapacityError names both predictions.
+    pipeline runs on the instance's constraints over the one table f, or
+    bit_flip(f) (same Z) when only the bit flip is nonnegative: ``estimate_pm``
+    supplies the matching count and all tracked constants are multiplied back
+    exactly.  When ``estimate_pm`` refuses the triangle graph's chain, the
+    CapacityError names both predictions.
     """
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
-    csp = _as_csp(inst)
-    names = csp.registry_map()
-    for _, name in csp.constraints:
+    names = inst.registry_map()
+    for _, name in inst.constraints:
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
             raise InstanceError(f"constraint function {name!r} differs from the pipeline function")
@@ -689,15 +685,15 @@ def estimate_z_fpras(f: PBFunction, inst: Instance, cfg: EstimatorConfig) -> Fra
             "regime applies instead"
         )
     try:
-        return z_exact(csp)
+        return z_exact(inst)
     except CapacityError as exc:
         too_costly = str(exc)
-    if not nonnegative:
-        # Flipping every spin maps f to bit_flip(f) in each constraint and keeps Z.
-        used = {name for _, name in csp.constraints}
-        registry = tuple((name, bit_flip(fn) if name in used else fn) for name, fn in csp.registry)
-        csp = CspInstance(csp.variables, registry, csp.constraints)
-    lifted = lift_instance(csp)
+    # Every constraint holds f's table, so one table named f serves them all;
+    # flipping every spin maps f to bit_flip(f) in each and keeps Z.  Valid:
+    # the scopes are inst's, each of the arity of f's table.
+    table = f if nonnegative else bit_flip(f)
+    constraints = tuple((scope, "f") for scope, _ in inst.constraints)
+    lifted = lift_instance(_unchecked(CspInstance, inst.variables, (("f", table),), constraints))
     form = holant_fourier_form(lifted)
     if form.is_zero:
         return _ZERO

@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from spincount.funcs import (
     PBFunction,
@@ -31,10 +31,9 @@ def clique_instance(fn: PBFunction, k: int) -> CspInstance:
     )
 
 
-def brute_force_z(inst: Union[CspInstance, HolantInstance]) -> Fraction:
+def brute_force_z(csp: CspInstance) -> Fraction:
     """The partition function by its definition: every assignment's product of
     constraint values, summed.  An oracle that shares no code with the library."""
-    csp = inst.csp if isinstance(inst, HolantInstance) else inst
     tables = dict(csp.registry)
     total = Fraction(0)
     for bits in itertools.product((0, 1), repeat=len(csp.variables)):
@@ -197,7 +196,7 @@ def rand_holant_instance(
         for ci, pos in (slots[2 * vi], slots[2 * vi + 1]):
             scopes[ci][pos] = f"v{vi}"
     constraints = [(tuple(scope), f"g{ci}") for ci, scope in enumerate(scopes)]
-    return HolantInstance(CspInstance.build(registry, constraints))
+    return HolantInstance.build(registry, constraints)
 
 
 def rand_mixed_holant_instance(rng: random.Random, n_vars: int) -> HolantInstance:
@@ -216,4 +215,4 @@ def rand_mixed_holant_instance(rng: random.Random, n_vars: int) -> HolantInstanc
         for ci, pos in (slots[2 * vi], slots[2 * vi + 1]):
             scopes[ci][pos] = f"v{vi}"
     constraints = [(tuple(scope), f"g{ci}") for ci, scope in enumerate(scopes)]
-    return HolantInstance(CspInstance.build(registry, constraints))
+    return HolantInstance.build(registry, constraints)

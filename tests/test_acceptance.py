@@ -103,12 +103,12 @@ def test_c03_triangle_gadget_identity():
         prism = HolantInstance.build(
             {"w": XOR3}, [(("x", "y", "z"), "w"), (("x", "y", "z"), "w")]
         )
-        assert count_pm_exact(build_triangle_graph(prism)) == z_exact(prism.csp) == 4
+        assert count_pm_exact(build_triangle_graph(prism)) == z_exact(prism) == 4
         rng = random.Random(303)
         for _ in range(50):
             inst = rand_holant_instance(rng, rand_wtilde, rng.choice([2, 4, 6]))
             graph = build_triangle_graph(inst)
-            assert count_pm_exact(graph) == z_exact(inst.csp)
+            assert count_pm_exact(graph) == z_exact(inst)
 
 
 def test_c04_near_assignment_bounds():
@@ -117,7 +117,7 @@ def test_c04_near_assignment_bounds():
         for _ in range(50):
             inst = rand_holant_instance(rng, rand_wtilde_cp, rng.choice([2, 4]))
             n = len(inst.variables)
-            z = z_exact(inst.csp)
+            z = z_exact(inst)
             z_near = near_assignment_total(inst)
             assert z_near <= 2 * n * n * z
             graph = build_triangle_graph(inst)
@@ -204,7 +204,7 @@ def test_c08_holographic_identity():
             inst = rand_mixed_holant_instance(rng, rng.randint(2, 8))
             n = len(inst.variables)
             image = holographic_transform(inst, [[1, 1], [1, -1]])
-            assert z_exact(image.csp) == Fraction(2) ** n * z_exact(inst.csp)
+            assert z_exact(image) == Fraction(2) ** n * z_exact(inst)
 
 
 def test_c09_pin_monotone_clone_closure():

@@ -49,6 +49,16 @@ def test_literal_bare_power_of_two_fallback():
     assert g.arity == 2 and g.table == (3, 4, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "text, arity, table",
+    [("0 1", 1, (0, 1)), ("5", 0, (5,)), ("1 0 1", 1, (0, 1))],
+)
+def test_literal_arity_prefix_is_at_least_one(text, arity, table):
+    """`<arity> <values...>` is read only for arity >= 1, so "0 1" is the bare unary (0, 1)."""
+    f = parse_function_literal(text)
+    assert f.arity == arity and f.table == table
+
+
 def test_literal_signed_and_rationals():
     f = parse_function_literal("1 -1/2 3")
     assert isinstance(f, SignedTable)
@@ -133,6 +143,8 @@ def test_gadget_pin(capsys):
     assert capsys.readouterr().out == 'table="1 1/243" power=5 scale=3\n'
     assert main(["gadget", "pin", "--fun", "3 3", "--eps", "1/100"]) == 2
     assert "error: unary 3 3 is not strictly monotone permissive" in capsys.readouterr().err
+    assert main(["gadget", "pin", "--fun", "0 1", "--eps", "1/10"]) == 2
+    assert "error: unary 0 1 is not strictly monotone permissive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -161,8 +161,47 @@ def test_parse_serialize_round_trip_needs_first_use_order():
 
 
 def test_holant_instance_enforces_two_occurrences():
+    """build returns the subtype; degree 1, 3 or 0 is refused, after CspInstance's checks."""
+    pair = HolantInstance.build({"e": EQ}, [(("x", "y"), "e"), (("y", "x"), "e")])
+    assert type(pair) is HolantInstance and pair.variables == ("x", "y")
     with pytest.raises(InstanceError, match="occurrence"):
         HolantInstance.build({"e": EQ}, [(("x", "y"), "e")])
+    with pytest.raises(InstanceError, match="occurrence"):
+        HolantInstance.build({"e": EQ}, [(("x", "x"), "e"), (("x", "y"), "e"), (("y", "y"), "e")])
+    with pytest.raises(InstanceError, match="occurrence"):
+        HolantInstance.build({"e": EQ}, [(("x", "x"), "e")], variables=["x", "free"])
+    with pytest.raises(InstanceError, match="unknown function name"):
+        HolantInstance(("x",), (("e", EQ),), ((("x", "x"), "f"),))
+
+
+def test_holant_instance_is_a_csp_instance_of_its_own_kind():
+    """A HolantInstance has CspInstance's three fields only; equal fields of the two kinds differ."""
+    csp = parse(PRISM_TEXT)
+    holant = HolantInstance(csp.variables, csp.registry, csp.constraints)
+    assert isinstance(holant, CspInstance)
+    assert vars(holant) == vars(csp)
+    assert holant != csp and csp != holant
+    assert holant == HolantInstance.build(csp.registry, csp.constraints)
+    assert not hasattr(holant, "csp")
+
+
+def test_instance_functions_take_a_holant_instance_directly():
+    """z_exact, serialize, z_product_type, to_holant and lift_instance read its fields."""
+    ring = HolantInstance.build(
+        {"f": binary(2, 1, 1, 2)}, [((f"x{i}", f"x{(i + 1) % 5}"), "f") for i in range(5)]
+    )
+    csp = CspInstance(ring.variables, ring.registry, ring.constraints)
+    assert z_exact(ring) == z_exact(csp) == brute_force_z(ring) == 3**5 + 1
+    assert serialize(ring) == serialize(csp)
+    assert parse(serialize(ring)) == csp
+    conv = to_holant(ring)
+    assert conv.holant == ring and conv.holant.constraints is ring.constraints
+    assert conv.verified and conv.z_source == conv.z_holant == z_exact(csp)
+    assert lift_instance(ring) == lift_instance(csp)
+    chain = HolantInstance.build(
+        {"e": EQ, "u": unary(1, 3)}, [(("x", "y"), "e"), (("y", "z"), "e"), (("z",), "u"), (("x",), "u")]
+    )
+    assert z_product_type(chain) == brute_force_z(chain) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +398,7 @@ def test_to_holant_junction_layouts():
     conv = to_holant(inst)
     assert conv.verified is True and conv.z_source == conv.z_holant == 7
     holant = conv.holant
-    assert all(d == 2 for d in holant.csp.degrees().values())
+    assert all(d == 2 for d in holant.degrees().values())
     eq_cons = [c for c in holant.constraints if c[1] == "eq3"]
     assert ((("x.eq.1", "x.eq.2", "x.eq.3"), "eq3")) in eq_cons
     assert ((("w", "w.eq.1", "w.eq.1"), "eq3")) in eq_cons
@@ -472,7 +511,7 @@ def test_to_holant_hub_ring_structure():
         {"t": XOR3}, [((f"x{i}", f"x{(i + 1) % m}", "h"), "t") for i in range(m)]
     )
     holant = to_holant(inst).holant
-    assert set(holant.csp.degrees().values()) == {2}
+    assert set(holant.degrees().values()) == {2}
     junctions = [scope for scope, name in holant.constraints if name == "eq3"]
     assert len(junctions) == m - 2
     assert all(v.startswith("h.eq.") for scope in junctions for v in scope)
@@ -487,7 +526,7 @@ def test_to_holant_random_preserves_z():
         inst = rand_csp_instance(rng, funcs, rng.randint(1, 4), rng.randint(1, 5))
         conv = to_holant(inst)
         z = brute_force_z(inst)
-        assert z_exact(conv.holant.csp) == z
+        assert z_exact(conv.holant) == z
         if conv.verified:
             assert conv.z_source == conv.z_holant == z
 
@@ -502,10 +541,9 @@ def test_to_holant_rejects_signed():
 # derived objects
 
 
-def _checked(inst):
-    """inst rebuilt through the checked public constructors."""
-    csp = CspInstance(inst.variables, inst.registry, inst.constraints)
-    return HolantInstance(csp) if isinstance(inst, HolantInstance) else csp
+def _checked(inst, cls=None):
+    """inst's fields through the checked public constructor of cls, by default inst's class."""
+    return (cls or type(inst))(inst.variables, inst.registry, inst.constraints)
 
 
 def _first_use(inst):
@@ -546,8 +584,7 @@ def test_derived_objects_equal_their_checked_rebuilds():
         assert parsed.variables == _first_use(parsed)
         holant = to_holant(inst).holant
         assert holant == _checked(holant)
-        source = inst.csp if isinstance(inst, HolantInstance) else inst
-        if holant.csp is not source:  # converted, not passed through
+        if holant.constraints is not inst.constraints:  # converted, not passed through
             assert holant.variables == _first_use(holant)
     for inst in lift_inputs:
         lifted = lift_instance(inst)
@@ -566,7 +603,7 @@ def test_derived_objects_equal_their_checked_rebuilds():
 
 
 def test_holographic_transform_tables():
-    prism = HolantInstance(parse(PRISM_TEXT))
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
     image = holographic_transform(prism, [[1, 1], [1, -1]])
     assert image.registry_map()["xor3"].table == (4, 0, 0, 0, 0, 0, 0, 4)
     pair = HolantInstance.build({"e": EQ}, [(("u", "v"), "e"), (("u", "v"), "e")])
@@ -575,19 +612,19 @@ def test_holographic_transform_tables():
 
 
 def test_holographic_transform_scales_z():
-    prism = HolantInstance(parse(PRISM_TEXT))
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
     image = holographic_transform(prism, [[1, 1], [1, -1]])
-    assert z_exact(image.csp) == 2 ** 3 * z_exact(prism.csp)
+    assert z_exact(image) == 2 ** 3 * z_exact(prism)
 
 
 def test_holographic_transform_identity_matrix():
-    prism = HolantInstance(parse(PRISM_TEXT))
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
     same = holographic_transform(prism, [[1, 0], [0, 1]])
-    assert z_exact(same.csp) == z_exact(prism.csp)
+    assert z_exact(same) == z_exact(prism)
 
 
 def test_holographic_transform_rejects_non_orthogonal():
-    prism = HolantInstance(parse(PRISM_TEXT))
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
     for bad in ([[1, 1], [0, 1]], [[1, 0], [0, 2]], [[0, 0], [0, 0]]):
         with pytest.raises(InstanceError, match="scalar identity"):
             holographic_transform(prism, bad)
@@ -598,7 +635,7 @@ def test_holographic_transform_rejects_non_orthogonal():
 
 
 def test_near_assignment_total_prism():
-    assert near_assignment_total(HolantInstance(parse(PRISM_TEXT))) == 12
+    assert near_assignment_total(_checked(parse(PRISM_TEXT), HolantInstance)) == 12
 
 
 def test_near_assignment_total_small_cases():
@@ -611,7 +648,7 @@ def test_near_assignment_total_cap(monkeypatch):
     big = HolantInstance.build({"e": EQ}, scopes)
     with pytest.raises(CapacityError):
         near_assignment_total(big)
-    small = HolantInstance(parse(PRISM_TEXT))
+    small = _checked(parse(PRISM_TEXT), HolantInstance)
     monkeypatch.setattr(instances, "NEAR_CAP", 2)
     with pytest.raises(CapacityError):
         near_assignment_total(small)

@@ -159,7 +159,7 @@ def test_holant_fourier_form_random_identity():
 
 
 def test_holant_fourier_form_zero_short_circuit():
-    zero = PRISM.csp.registry_map()["w"].__class__(3, (0,) * 8)
+    zero = PRISM.registry_map()["w"].__class__(3, (0,) * 8)
     inst = CspInstance.build({"z": zero}, [(("a", "b", "c"), "z")])
     form = holant_fourier_form(inst)
     assert form.is_zero is True
@@ -187,7 +187,7 @@ def test_triangle_graph_prism():
     g = build_triangle_graph(PRISM)
     assert len(g.vertices) == 6
     assert len(g.edges) == 9
-    assert count_pm_exact(g) == z_exact(PRISM.csp) == 4
+    assert count_pm_exact(g) == z_exact(PRISM) == 4
     labels = {e.label for e in g.edges}
     assert labels == {"within_triangle", "between_triangles"}
 
@@ -658,6 +658,17 @@ def test_estimate_z_fpras_random_exact_path(monkeypatch):
             f = rand_cp_binary(rng)
             inst = rand_csp_instance(rng, [f], rng.randint(1, 3), rng.randint(1, 2))
             assert estimate_z_fpras(f, inst, EstimatorConfig()) == brute_force_z(inst)
+
+
+@pytest.mark.parametrize("budget", [ELIMINATION_BUDGET, 0])
+def test_estimate_z_fpras_reads_equal_tables_under_two_names(monkeypatch, budget):
+    """Constraints naming entries f and g of one table, next to an unused signed
+    entry, give the same exact Z on both sides of the elimination budget."""
+    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
+    triangle = [(("x", "y"), "f"), (("y", "z"), "g"), (("z", "x"), "f")]
+    for fn, z in ((binary(2, 1, 1, 2), 28), (binary(1, 1, 1, 3), 40)):
+        inst = CspInstance.build({"f": fn, "g": fn, "s": SignedTable(1, (1, -1))}, triangle)
+        assert estimate_z_fpras(fn, inst, EstimatorConfig()) == brute_force_z(inst) == z
 
 
 def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
