@@ -23,8 +23,8 @@ from .funcs import (
     PBFunction,
     SignedTable,
     SupportRelation,
+    _wht,
     bit_flip,
-    fourier,
     in_cp,
     is_and_or_closed,
     is_affine_relation,
@@ -88,9 +88,10 @@ def classify_two_spin(f: PBFunction) -> TwoSpinVerdict:
     _reject_signed(f)
     if f.arity != 2:
         raise ValueError(f"two-spin classification needs arity 2, got {f.arity}")
-    coeffs = fourier(f)
-    f01 = coeffs.table[1]
-    f10 = coeffs.table[2]
+    # The two middle Fourier entries, ints[x] / (4 * scale), from the integer transform.
+    ints, scale = _wht(f.table)
+    f01 = Fraction(ints[1], 4 * scale)
+    f10 = Fraction(ints[2], 4 * scale)
     trivial = is_trivial_binary(f)
     lsm = is_lsm(f)
     monotone = is_monotone(f)
@@ -99,13 +100,13 @@ def classify_two_spin(f: PBFunction) -> TwoSpinVerdict:
     if trivial:
         tag = TwoSpinTag.FP_TRIVIAL
     elif lsm:
-        if f01 * f10 < 0:
+        if ints[1] * ints[2] < 0:
             tag = TwoSpinTag.BIS_EQUIVALENT
         else:
             tag = TwoSpinTag.FPRAS
             # Consistency: the FPRAS region sits inside the nonnegative
             # Fourier cone after at most one bit flip.
-            if f01 >= 0 and f10 >= 0:
+            if ints[1] >= 0 and ints[2] >= 0:
                 assert in_cp(f)
             else:
                 assert in_cp(bit_flip(f))

@@ -677,7 +677,9 @@ def estimate_z_fpras(f: PBFunction, inst: CspInstance, cfg: EstimatorConfig) -> 
     for _, name in inst.constraints:
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
-            raise InstanceError(f"constraint function {name!r} differs from the pipeline function")
+            raise InstanceError(
+                f"estimator needs a single constraint function; {name!r} differs from the pipeline function"
+            )
     nonnegative = in_cp(f)
     if not nonnegative and not in_cp(bit_flip(f)):
         raise InstanceError(

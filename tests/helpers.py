@@ -75,6 +75,88 @@ def first_primes(count: int) -> list[int]:
     return primes
 
 
+def lsm_by_definition(f: PBFunction) -> bool:
+    """f(x|y) f(x&y) >= f(x) f(y) for all pairs, by Fraction products."""
+    t = f.table
+    n = len(t)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if t[x | y] * t[x & y] < t[x] * t[y]:
+                return False
+    return True
+
+
+def log_modular_by_definition(f: PBFunction) -> bool:
+    """f(x|y) f(x&y) == f(x) f(y) for all pairs, by Fraction products."""
+    t = f.table
+    n = len(t)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if t[x | y] * t[x & y] != t[x] * t[y]:
+                return False
+    return True
+
+
+def monotone_by_definition(f: PBFunction) -> bool:
+    """f(x) <= f(y) whenever x <= y bitwise, over every such pair."""
+    t = f.table
+    n = len(t)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (x & y) == x and t[x] > t[y]:
+                return False
+    return True
+
+
+def monotone_on_support_by_definition(f: PBFunction) -> bool:
+    """f(a) <= f(b) whenever a <= b bitwise and both are nonzero."""
+    t = f.table
+    nonzero = [i for i, v in enumerate(t) if v != 0]
+    for ai, a in enumerate(nonzero):
+        for b in nonzero[ai + 1 :]:
+            if (a & b) == a and t[a] > t[b]:
+                return False
+    return True
+
+
+def trivial_binary_by_definition(f: PBFunction) -> bool:
+    """Log-modular, or a unary times EQ, or a unary times NEQ, by Fraction products."""
+    a, b, c, d = f.table
+    return a * d == b * c or (b == 0 and c == 0) or (a == 0 and d == 0)
+
+
+_PRIMES = first_primes(200)
+
+
+def rand_order_table(rng: random.Random, arity: int) -> PBFunction:
+    """Random table for the order predicates: about a fifth zeros, a fifth
+    repeats of earlier entries, and denominators that are small or primes
+    distinct within the table."""
+    values: list[Fraction] = []
+    for prime in rng.sample(_PRIMES, 1 << arity):
+        roll = rng.random()
+        if roll < 0.2:
+            values.append(Fraction(0))
+        elif roll < 0.4 and values:
+            values.append(rng.choice(values))
+        else:
+            values.append(Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, prime))))
+    return PBFunction.from_values(arity, values)
+
+
+def lsm_prime_table(arity: int, primes: Sequence[int]) -> PBFunction:
+    """f(x) = 4**(|x|**2) * (p_x + 1) / p_x: log-supermodular, as 4**(|x|**2)
+    gains at least 16 on every incomparable pair and the other factor loses
+    at most 9/4."""
+    return PBFunction.from_values(
+        arity,
+        [
+            Fraction(4 ** (bin(x).count("1") ** 2) * (p + 1), p)
+            for x, p in zip(range(1 << arity), primes)
+        ],
+    )
+
+
 def rand_fraction(rng: random.Random, max_num: int = 4, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(0, max_num), rng.randint(1, max_den))
 

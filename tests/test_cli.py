@@ -213,6 +213,15 @@ def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == "343\n"
 
 
+def test_z_estimate_reads_one_table_under_two_names(tmp_path, capsys):
+    path = tmp_path / "two_names.csp"
+    path.write_text("fun f 2 2 1 1 2\nfun g 2 2 1 1 2\ncon f x y\ncon g y z\ncon f z x\n")
+    assert main(["z-exact", str(path)]) == 0
+    assert capsys.readouterr().out == "28\n"
+    assert main(["z-estimate", str(path)]) == 0
+    assert capsys.readouterr().out == "28\n"
+
+
 def test_z_estimate_rejects_mixed_instances(tmp_path, capsys):
     path = tmp_path / "mixed.csp"
     path.write_text("fun f 2 2 1 1 2\nfun g 2 1 0 0 1\ncon f x y\ncon g y x\n")

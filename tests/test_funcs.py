@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from spincount.classify import RelTag, classify_relations
+from spincount.classify import RelTag, classify_relations, classify_two_spin
 from spincount.funcs import (
     DELTA0,
     DELTA1,
@@ -34,6 +35,7 @@ from spincount.funcs import (
     is_log_modular,
     is_lsm,
     is_monotone,
+    is_monotone_on_support,
     is_pin_monotone,
     is_product_type,
     is_trivial_binary,
@@ -46,12 +48,21 @@ from spincount.funcs import (
     support,
     unary,
 )
+from spincount.gadgets import pinning_analysis
 from helpers import (
     first_primes,
     fourier_by_definition,
+    log_modular_by_definition,
+    lsm_by_definition,
+    lsm_prime_table,
+    monotone_by_definition,
+    monotone_on_support_by_definition,
+    rand_binary,
     rand_function,
     rand_monotone,
+    rand_order_table,
     rand_product_type,
+    trivial_binary_by_definition,
 )
 
 # ---------------------------------------------------------------------------
@@ -349,6 +360,84 @@ def test_property_report_record_keys_stable():
     keys = [k for k, _ in property_report(EQ).record()]
     assert keys[0] == "arity"
     assert "lsm" in keys and "in_cp" in keys and "in_sdp3" in keys
+    f = PBFunction.from_values(3, ("1/2", 0, 3, "3/7", 1, 1, "5/2", 4))
+    assert " ".join(f"{k}={v}" for k, v in property_report(f).record()) == (
+        "arity=3 permissive=false pure=false pure_value=none lsm=false log_modular=false "
+        "monotone=false monotone_on_support=false support_join_closed=true affine_support=false "
+        "in_cp=false in_sdp3=false"
+    )
+
+
+def _order_tables() -> list[PBFunction]:
+    """Seeded tables of arity 0-5 for the order predicates: mixed tables with
+    zeros, repeats and prime denominators, and monotone, product-type and
+    log-supermodular ones, so that every predicate meets both answers."""
+    rng = random.Random(1616)
+    primes = first_primes(64)
+    tables = []
+    for arity in range(6):
+        for _ in range(30):
+            tables.append(rand_order_table(rng, arity))
+            tables.append(rand_monotone(rng, arity))
+            tables.append(rand_product_type(rng, arity))
+            tables.append(lsm_prime_table(arity, rng.sample(primes, 1 << arity)))
+    return tables
+
+
+_ORDER_TABLES = _order_tables()
+
+
+def test_order_predicates_match_their_definitions():
+    pairs = [
+        (is_lsm, lsm_by_definition),
+        (is_log_modular, log_modular_by_definition),
+        (is_monotone, monotone_by_definition),
+        (is_monotone_on_support, monotone_on_support_by_definition),
+    ]
+    seen = {name: set() for name in ("lsm", "log_modular", "monotone", "monotone_on_support")}
+    for f in _ORDER_TABLES:
+        for (predicate, definition), answers in zip(pairs, seen.values()):
+            expected = definition(f)
+            assert predicate(f) is expected, (predicate.__name__, f.table)
+            answers.add(expected)
+        if f.arity == 2:
+            assert is_trivial_binary(f) is trivial_binary_by_definition(f), f.table
+    assert all(answers == {True, False} for answers in seen.values()), seen
+
+
+def test_classify_two_spin_reads_the_fourier_table():
+    rng = random.Random(1617)
+    for _ in range(300):
+        f = rand_binary(rng)
+        verdict = classify_two_spin(f)
+        coeffs = fourier(f).table
+        assert (verdict.f01, verdict.f10) == (coeffs[1], coeffs[2])
+        assert verdict.trivial is trivial_binary_by_definition(f)
+
+
+def test_predicate_outputs_frozen():
+    """Digest of property reports, two-spin verdicts and pinning verdicts over
+    the seeded tables, as computed by the Fraction-product predicates."""
+    digest = hashlib.sha256()
+    for f in _ORDER_TABLES:
+        digest.update(repr(property_report(f).record()).encode())
+        if f.arity == 2:
+            digest.update(repr(classify_two_spin(f).record()).encode())
+    small = [f for f in _ORDER_TABLES if 1 <= f.arity <= 3]
+    rng = random.Random(1618)
+    for _ in range(300):
+        digest.update(repr(pinning_analysis(rng.sample(small, rng.randint(1, 3)))).encode())
+    assert digest.hexdigest() == "8b26da6ae9600d2c7a53f0da2783b88f497ddcb6e60d701c22be46236d04ec2f"
+
+
+def test_lsm_fast_on_distinct_prime_denominators():
+    """Cross-multiplied entries stay the size of the entries; scaling to the
+    lcm of 512 prime denominators made every product thousands of bits long."""
+    f = lsm_prime_table(9, first_primes(512))
+    start = time.perf_counter()
+    report = property_report(f)
+    assert time.perf_counter() - start <= 0.5
+    assert report.lsm and not report.log_modular and report.monotone
 
 
 # ---------------------------------------------------------------------------
