@@ -5,7 +5,9 @@ for an arity of at least 1, as the file format does; a bare power-of-two run
 of values is also accepted and its arity inferred, so "0 1" is the unary
 (0, 1) and a single value such as "5" is a nullary function.
 Output is line-oriented; ``--machine`` switches to one ``key=value`` record
-per result with values quoted when they contain whitespace.
+per result with values quoted when they contain whitespace.  Results print
+in full at any length, while Python's int-string limit (4300 digits by
+default) still refuses a longer integer in any input.
 
 Exit codes: 0 on success, 2 on input errors, 3 on capacity errors.
 """
@@ -13,6 +15,7 @@ Exit codes: 0 on success, 2 on input errors, 3 on capacity errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from fractions import Fraction
@@ -71,17 +74,30 @@ def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
     return PBFunction.from_values(arity, values)
 
 
-def _emit(record: list[tuple[str, str]], machine: bool) -> None:
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's int-string limit while results are written; it still guards input literals.
+
+    Records that the library spells itself (``record()``) are built inside it too.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_any_int_digits()
+def _emit(record: list[tuple[str, object]], machine: bool) -> None:
+    """Write a record: a tuple value as ``table_text``, any other as ``record_value`` spells it."""
+    texts = [(key, table_text(v) if isinstance(v, tuple) else record_value(v)) for key, v in record]
     if machine:
-        parts = []
-        for key, value in record:
-            if re.search(r"\s", value):
-                value = f'"{value}"'
-            parts.append(f"{key}={value}")
-        print(" ".join(parts))
+        quoted = (f'{key}="{text}"' if re.search(r"\s", text) else f"{key}={text}" for key, text in texts)
+        print(" ".join(quoted))
     else:
-        for key, value in record:
-            print(f"{key}: {value}")
+        for key, text in texts:
+            print(f"{key}: {text}")
 
 
 def _read_instance(path: str):
@@ -105,7 +121,8 @@ def _require_function(value: Union[PBFunction, SignedTable], what: str) -> PBFun
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     f = _require_function(parse_function_literal(args.fun), "classify input")
-    _emit(classify_two_spin(f).record(), args.machine)
+    with _any_int_digits():
+        _emit(classify_two_spin(f).record(), args.machine)
     return 0
 
 
@@ -122,8 +139,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         out = inverse_fourier(signed)
     else:
         out = fourier(fn)
-    record = [("arity", str(out.arity)), ("table", table_text(out.table))]
-    _emit(record, args.machine)
+    _emit([("arity", out.arity), ("table", out.table)], args.machine)
     return 0
 
 
@@ -132,9 +148,9 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     if args.construction == "updown":
         pair = make_up_down(f)
         record = [
-            ("up", table_text(pair.up.table)),
-            ("down", table_text(pair.down.table)),
-            ("swapped", record_value(pair.swapped)),
+            ("up", pair.up.table),
+            ("down", pair.down.table),
+            ("swapped", pair.swapped),
             ("up_formula", serialize_pps(pair.up_formula)),
             ("down_formula", serialize_pps(pair.down_formula)),
         ]
@@ -145,14 +161,14 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         if args.up is not None:
             up = _require_function(parse_function_literal(args.up), "--up")
         sym, report = symmetrize(f, args.mode, up)
-        record = [("table", table_text(sym.table))] + report.record()
+        record = [("table", sym.table)] + report.record()
     elif args.construction == "extract":
         if args.fun2 is None:
             raise ValueError("extract needs --fun2")
         g = _require_function(parse_function_literal(args.fun2), "--fun2")
         got = extract_nonlsm_binary(f, g)
         record = [
-            ("table", table_text(got.function.table)),
+            ("table", got.function.table),
             ("route", got.route),
             ("formula", serialize_pps(got.formula)),
         ]
@@ -161,11 +177,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
             raise ValueError("pin needs --eps")
         normalized, scale = normalize_unary(f)
         pinned, power = approx_pin(normalized, parse_rational(args.eps))
-        record = [
-            ("table", table_text(pinned.table)),
-            ("power", str(power)),
-            ("scale", str(scale)),
-        ]
+        record = [("table", pinned.table), ("power", power), ("scale", scale)]
     _emit(record, args.machine)
     return 0
 
@@ -173,24 +185,25 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 def _cmd_pinning(args: argparse.Namespace) -> int:
     family = [_require_function(parse_function_literal(text), "pinning input") for text in args.fun]
     verdict = pinning_analysis(family)
-    record = [("tag", verdict.tag.value), ("case", str(verdict.case))]
+    record = [("tag", verdict.tag), ("case", verdict.case)]
     if verdict.up is not None:
-        record.append(("up", table_text(verdict.up.table)))
+        record.append(("up", verdict.up.table))
     if verdict.down is not None:
-        record.append(("down", table_text(verdict.down.table)))
+        record.append(("down", verdict.down.table))
     if verdict.up_formula is not None:
         record.append(("up_formula", serialize_pps(verdict.up_formula)))
     if verdict.down_formula is not None:
         record.append(("down_formula", serialize_pps(verdict.down_formula)))
     if verdict.witness_index is not None:
-        record.append(("witness", str(verdict.witness_index)))
+        record.append(("witness", verdict.witness_index))
     _emit(record, args.machine)
     return 0
 
 
+@_any_int_digits()
 def _print_z(z: Fraction, machine: bool) -> None:
     if machine:
-        _emit([("z", str(z))], True)
+        _emit([("z", z)], True)
     else:
         print(z)
 
@@ -220,14 +233,15 @@ def _cmd_holant_check(args: argparse.Namespace) -> int:
         holant = True
     except InstanceError:
         holant = False
-    _emit([("holant", record_value(holant))], args.machine)
+    _emit([("holant", holant)], args.machine)
     return 0
 
 
 def _cmd_triangle_graph(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
     graph = build_triangle_graph(HolantInstance(inst.variables, inst.registry, inst.constraints))
-    sys.stdout.write(serialize_graph(graph))
+    with _any_int_digits():
+        sys.stdout.write(serialize_graph(graph))
     return 0
 
 

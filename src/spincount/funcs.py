@@ -54,7 +54,12 @@ class CapacityError(Exception):
 
 
 def frac(value: Rational) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to Fraction.  Floats are refused."""
+    """Coerce an int, bool, Fraction, or string literal to Fraction.
+
+    A string must be an integer or ``p/q`` literal as ``parse_rational``
+    reads it, e.g. ``"3"``, ``"-2/6"``; ``"0.1"``, ``"1e-3"``, ``"1_000"`` and
+    padded strings raise ValueError.  Floats raise TypeError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -62,7 +67,7 @@ def frac(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 

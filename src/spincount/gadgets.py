@@ -9,6 +9,10 @@ checked, and any mismatch raises GadgetError.
 Formula text format, 0-based variables, free variables first:
 
     pps <n_free> <n_bound> ; <fname> v<i> v<j> ... ; <fname> v<k> ...
+
+Bound variables follow the free ones in the order they are introduced.  A
+formula built from smaller ones numbers each graft's bound variables after
+every variable placed before it, so the text of a composed witness is fixed.
 """
 
 from __future__ import annotations
@@ -124,33 +128,23 @@ def parse_pps(text: str) -> PpsFormula:
     return PpsFormula(nf, nb, tuple(atoms))
 
 
-class _Builder:
-    """Accumulates atoms; bound variables are appended after the free block."""
+def _compose(
+    n_free: int,
+    n_bound: int,
+    atoms: Sequence[tuple[str, tuple[int, ...]]] = (),
+    grafts: Sequence[tuple[PpsFormula, Sequence[int]]] = (),
+) -> PpsFormula:
+    """The atoms, then each graft's atoms with its free variables read through its map.
 
-    def __init__(self, n_free: int) -> None:
-        self.n_free = n_free
-        self.n_bound = 0
-        self.atoms: list[tuple[str, tuple[int, ...]]] = []
-
-    def fresh_bound(self) -> int:
-        self.n_bound += 1
-        return self.n_free + self.n_bound - 1
-
-    def add_atom(self, name: str, scope: Sequence[int]) -> None:
-        self.atoms.append((name, tuple(scope)))
-
-    def graft(self, sub: PpsFormula, free_map: Sequence[int]) -> None:
-        """Embed sub, mapping its free variables onto existing variables."""
-        if len(free_map) != sub.n_free:
-            raise ValueError("free_map length must match the subformula's free count")
-        bound_map = {sub.n_free + t: self.fresh_bound() for t in range(sub.n_bound)}
+    A graft's bound variables are appended after every variable placed so far.
+    """
+    atoms = list(atoms)
+    n = n_free + n_bound
+    for sub, free_map in grafts:
         for name, scope in sub.atoms:
-            self.add_atom(
-                name, tuple(free_map[v] if v < sub.n_free else bound_map[v] for v in scope)
-            )
-
-    def build(self) -> PpsFormula:
-        return PpsFormula(self.n_free, self.n_bound, tuple(self.atoms))
+            atoms.append((name, tuple(free_map[v] if v < sub.n_free else n + v - sub.n_free for v in scope)))
+        n += sub.n_bound
+    return PpsFormula(n_free, n - n_free, tuple(atoms))
 
 
 def _flip_deltas(formula: PpsFormula) -> PpsFormula:
@@ -198,20 +192,16 @@ def symmetrize(
     if is_trivial_binary(f):
         raise GadgetError("symmetrize needs a nontrivial function")
     registry = {"f": f}
+    convolution = (("f", (0, 2)), ("f", (1, 2)))
     if mode == 1:
         if is_lsm(f):
             raise GadgetError("mode 1 needs a non-lsm function")
-        builder = _Builder(2)
-        builder.add_atom("f", (0, 1))
-        builder.add_atom("f", (1, 0))
+        formula = PpsFormula(2, 0, (("f", (0, 1)), ("f", (1, 0))))
         required = {"symmetric": True, "lsm": False}
     elif mode == 2:
         if not is_lsm(f):
             raise GadgetError("mode 2 needs an lsm function")
-        builder = _Builder(2)
-        z = builder.fresh_bound()
-        builder.add_atom("f", (0, z))
-        builder.add_atom("f", (1, z))
+        formula = PpsFormula(2, 1, convolution)
         required = {"symmetric": True, "lsm": True}
     elif mode == 3:
         if not is_lsm(f):
@@ -222,15 +212,10 @@ def symmetrize(
         if up is None or not is_increasing_permissive_unary(up):
             raise GadgetError("mode 3 needs a strictly increasing permissive unary")
         registry["up"] = up
-        builder = _Builder(2)
-        z = builder.fresh_bound()
-        builder.add_atom("f", (0, z))
-        builder.add_atom("f", (1, z))
-        builder.add_atom("up", (z,))
+        formula = PpsFormula(2, 1, convolution + (("up", (2,)),))
         required = {"symmetric": True, "lsm": True, "ising": False}
     else:
         raise GadgetError(f"mode must be 1, 2, or 3, got {mode!r}")
-    formula = builder.build()
     result = eval_pps(formula, registry)
     report = property_report(result)
     if report.trivial:
@@ -314,22 +299,20 @@ def _pin_identify_formula(
 ) -> PpsFormula:
     """h over n_free variables: coordinates where the pair's points a and b differ read a[i].
 
-    Coordinates where a and b agree are pinned.  With two free variables,
+    Coordinates where a and b agree are pinned: each reads the next bound
+    variable, in coordinate order, under a delta atom written before h's own
+    atom.  With two free variables,
     (a=0, b=1) reads x and (a=1, b=0) reads y; with one and a <= b, every
     differing coordinate reads x.
     """
     a, b = bits_of(pair[0], f.arity), bits_of(pair[1], f.arity)
-    builder = _Builder(n_free)
-    scope = []
+    scope, atoms = list(a), []
     for i in range(f.arity):
         if a[i] == b[i]:
-            v = builder.fresh_bound()
-            builder.add_atom(f"delta{a[i]}", (v,))
-            scope.append(v)
-        else:
-            scope.append(a[i])
-    builder.add_atom(name, tuple(scope))
-    return builder.build()
+            scope[i] = n_free + len(atoms)
+            atoms.append((f"delta{a[i]}", (scope[i],)))
+    atoms.append((name, tuple(scope)))
+    return PpsFormula(n_free, len(atoms) - 1, tuple(atoms))
 
 
 def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
@@ -355,11 +338,7 @@ def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
     elif not is_lsm(g):
         result, route, formula = g, "from_g", PpsFormula(2, 0, (("g", (0, 1)),))
     else:
-        builder = _Builder(2)
-        z = builder.fresh_bound()
-        builder.add_atom("g", (0, z))
-        builder.graft(f_prime_formula, (z, 1))
-        formula = builder.build()
+        formula = _compose(2, 1, [("g", (0, 2))], [(f_prime_formula, (2, 1))])
         result = eval_pps(formula, registry)
         route = "composed"
     ra, rb, rc, rd = result.table
@@ -399,14 +378,18 @@ def approx_pin(u: PBFunction, eps: Fraction) -> tuple[PBFunction, int]:
             "(one entry 1, the other in (0,1))"
         )
     # Jump below the answer with float logs, then settle upward exactly;
-    # floor(log ratio) - 2 always undershoots the minimal exponent.
+    # floor(log ratio) - 2 always undershoots the minimal exponent.  The logs
+    # are read from the ints, which never underflow, and log1p keeps an off
+    # near 1 apart from 0; an off too near 1 for a float gives no jump.
     k = 1
     value = off
     if eps < 1:
-        try:
-            est = math.floor(math.log(float(eps)) / math.log(float(off)))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            est = 1
+        log_eps = math.log(eps.numerator) - math.log(eps.denominator)
+        if off > Fraction(1, 2):
+            log_off = math.log1p(-float(1 - off))
+        else:
+            log_off = math.log(off.numerator) - math.log(off.denominator)
+        est = math.floor(log_eps / log_off) if log_off else 1
         if est > 4:
             k = est - 2
             value = off**k
@@ -503,15 +486,6 @@ def _unary_on_chain(i: int, f: PBFunction, accept) -> tuple[PBFunction, PpsFormu
     return PBFunction(1, (t[pair[0]], t[pair[1]])), _pin_identify_formula(f"f{i}", f, pair, 1)
 
 
-def _one_bound(*grafts: tuple[PpsFormula, tuple[int, ...]]) -> PpsFormula:
-    """A unary formula in x = v0 with one bound y = v1, each subformula grafted on its map."""
-    builder = _Builder(1)
-    builder.fresh_bound()
-    for sub, free_map in grafts:
-        builder.graft(sub, free_map)
-    return builder.build()
-
-
 def _case2(
     family: Sequence[PBFunction],
 ) -> Union[int, tuple[PBFunction, PpsFormula, PBFunction, PpsFormula]]:
@@ -534,7 +508,7 @@ def _case2(
     h = eval_pps(h_formula, registry)
     if h.table[1] == 0 or h.table[2] == 0 or h.table[3] != 0:
         raise GadgetError(f"join-gap gadget has unexpected shape {table_text(h.table)}")
-    down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (up_formula, (1,)))
+    down_formula = _compose(1, 1, grafts=[(h_formula, (0, 1)), (h_formula, (1, 0)), (up_formula, (1,))])
     return up, up_formula, eval_pps(down_formula, registry), down_formula
 
 
@@ -579,7 +553,8 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     h = eval_pps(h_formula, registry)
     if h.table[0] != 0 or h.table[3] != 0 or not 0 < h.table[1] < h.table[2]:
         raise GadgetError(f"pure-gap gadget has unexpected shape {table_text(h.table)}")
-    up_formula = _one_bound((h_formula, (0, 1)), (h_formula, (0, 1)), (h_formula, (1, 0)))
-    down_formula = _one_bound((h_formula, (0, 1)), (h_formula, (1, 0)), (h_formula, (1, 0)))
+    xy, yx = (h_formula, (0, 1)), (h_formula, (1, 0))
+    up_formula = _compose(1, 1, grafts=[xy, xy, yx])
+    down_formula = _compose(1, 1, grafts=[xy, yx, yx])
     up, down = eval_pps(up_formula, registry), eval_pps(down_formula, registry)
     return PinningVerdict(PinningTag.BOTH_UNARIES, 4, family, up, down, up_formula, down_formula)

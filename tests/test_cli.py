@@ -222,6 +222,38 @@ def test_z_estimate_reads_one_table_under_two_names(tmp_path, capsys):
     assert capsys.readouterr().out == "28\n"
 
 
+def test_results_print_past_the_int_string_limit(tmp_path, capsys):
+    """3^10000 + 1 has 4772 digits, past Python's int-string limit: it prints in full, the
+    limit is the same after main returns, and a 4400-digit input literal is still refused.
+    classify's f01 over two 4002-digit denominators has more than 8000 digits."""
+    path = tmp_path / "ring10k.csp"
+    lines = "".join(f"con f x{i} x{(i + 1) % 10000}\n" for i in range(10000))
+    path.write_text("fun f 2 2 1 1 2\n" + lines)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{3**10000 + 1}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4772
+    for argv in (["z-exact", str(path)], ["z-estimate", str(path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        assert sys.get_int_max_str_digits() == limit
+    assert main(["z-exact", str(path), "--machine"]) == 0
+    assert capsys.readouterr().out == f"z={expected}\n"
+    big = tmp_path / "big.csp"
+    big.write_text(f"fun f 1 1 {'1' * 4400}\ncon f x\n")
+    assert main(["z-exact", str(big)]) == 2
+    assert "malformed rational" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
+    d1, d2 = "1" + "0" * 4000 + "1", "1" + "0" * 4000 + "3"
+    assert main(["classify", "--fun", f"2 1/{d1} 1/{d2} 1 1", "--machine"]) == 0
+    f01 = capsys.readouterr().out.split(" f01=")[1].split()[0]
+    assert len(f01) > 8000
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_z_estimate_rejects_mixed_instances(tmp_path, capsys):
     path = tmp_path / "mixed.csp"
     path.write_text("fun f 2 2 1 1 2\nfun g 2 1 0 0 1\ncon f x y\ncon g y x\n")

@@ -26,6 +26,7 @@ from spincount.funcs import (
     bit_flip,
     bits_of,
     fourier,
+    frac,
     identify,
     in_cp,
     in_sdp3,
@@ -84,6 +85,19 @@ def test_binary_matrix_order():
 def test_negative_value_rejected():
     with pytest.raises(ValueError):
         PBFunction.from_values(1, (1, -1))
+
+
+@pytest.mark.parametrize("text", ["0.1", "1e-3", "1_000", " 3 "])
+def test_frac_refuses_float_like_strings(text):
+    """A string must be an integer or p/q literal, as the file format and the CLI read it."""
+    with pytest.raises(ValueError, match="bad rational literal"):
+        frac(text)
+
+
+@pytest.mark.parametrize("value, expected", [("2/6", Fraction(1, 3)), ("-7", -7), (3, 3), (True, 1)])
+def test_frac_coerces_exact_values(value, expected):
+    out = frac(value)
+    assert type(out) is Fraction and out == expected
 
 
 def test_table_kinds_with_equal_fields_differ():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,19 @@ def test_approx_pin_minimal_power():
     assert power2 == 1 and looser.table == (Fraction(1, 3), 1)
 
 
+def test_approx_pin_past_float_range():
+    """Logs are read from the ints: a tolerance below float range still jumps close to k,
+    and an off value too small or too near 1 for a float still ends."""
+    start = time.perf_counter()
+    pinned, power = approx_pin(unary(Fraction(999, 1000), 1), Fraction(1, 10**400))
+    assert time.perf_counter() - start < 10
+    assert power == 920574
+    assert pinned.table[0] <= Fraction(1, 10**400) and pinned.table[1] == 1
+    assert approx_pin(unary(1, Fraction(1, 10**400)), Fraction(1, 10**900))[1] == 3
+    # 1 - off is 0 as a float, so the log estimate is skipped and the exact loop counts.
+    assert approx_pin(unary(1 - Fraction(1, 10**400), 1), 1 - Fraction(1, 10**399))[1] == 11
+
+
 def test_approx_pin_rejects_unnormalized():
     with pytest.raises(GadgetError):
         approx_pin(unary(1, 3), Fraction(1, 10))
@@ -407,3 +421,65 @@ def test_pinning_empty_family_is_vacuously_pure():
 def test_pinning_eq3_is_pure():
     verdict = pinning_analysis([EQ3])
     assert verdict.tag is PinningTag.ALL_PURE
+
+
+def _gadget_record(kind: str, call) -> tuple[str, str]:
+    """(kind, outcome) and a text record of one gadget call: tables, routes, formula text or the error."""
+    try:
+        out = call()
+    except GadgetError as exc:
+        return (kind, "error"), f"{kind} error {exc}"
+    if kind == "extract":
+        return (kind, out.route), repr((out.function.table, out.route, serialize_pps(out.formula)))
+    if kind == "updown":
+        fields = (out.up.table, out.down.table, out.swapped)
+        return (kind, "ok"), repr(fields + (serialize_pps(out.up_formula), serialize_pps(out.down_formula)))
+    sym, report = out
+    return (kind, "ok"), repr((sym.table, report.record()))
+
+
+def test_gadget_outputs_are_frozen():
+    """Seeded extract_nonlsm_binary, make_up_down and symmetrize outputs hash to a fixed digest.
+
+    Each record holds the tables, the route, the formula text or the
+    GadgetError message; every extract route and every symmetrize mode
+    occurs both built and refused.  The composed route's text pins the
+    bound-variable numbering of grafted formulas.
+    """
+    rng = random.Random(1700)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for _ in range(1500):
+        f = rand_function(rng, rng.randint(1, 4), rng.randint(0, 3))
+        g = rand_function(rng, 2, rng.randint(0, 2))
+        a, b = rand_function(rng, 2, 0).table[:2]
+        ising = binary(max(a, b), min(a, b), min(a, b), max(a, b))
+        up = rand_function(rng, 1, 1)
+        h = ising if rng.randrange(2) else g
+        calls = [
+            ("extract", lambda: extract_nonlsm_binary(f, g)),
+            ("updown", lambda: make_up_down(g)),
+            ("mode1", lambda: symmetrize(g, 1)),
+            ("mode2", lambda: symmetrize(g, 2)),
+            ("mode3", lambda: symmetrize(h, 3, up)),
+        ]
+        digest.update(repr((f.table, g.table, h.table, up.table)).encode())
+        for kind, call in calls:
+            outcome, text = _gadget_record(kind, call)
+            outcomes.add(outcome)
+            digest.update(text.encode() + b"\n")
+    assert outcomes == {
+        ("extract", "from_f"),
+        ("extract", "from_g"),
+        ("extract", "composed"),
+        ("extract", "error"),
+        ("updown", "ok"),
+        ("updown", "error"),
+        ("mode1", "ok"),
+        ("mode1", "error"),
+        ("mode2", "ok"),
+        ("mode2", "error"),
+        ("mode3", "ok"),
+        ("mode3", "error"),
+    }
+    assert digest.hexdigest() == "8505b9738311deb35a1bdcd8d7972cdcdf31bcdb9091f3d27c3545897aafe554"
