@@ -15,15 +15,22 @@ records as text: the CLI, ``instances.serialize`` and every error message
 that shows a table go through ``table_text``, and every verdict's and
 report's ``record()`` through ``record_fields``.
 
-Every sum of products is evaluated by ``_sum_product``, the one place where
-evaluation reads the table layout: the clone operations below,
-``instances.z_exact`` and ``gadgets.eval_pps``.
+Every sum of products runs in one integer kernel, ``_int_sum_product``, the
+one place where evaluation reads the table layout.  It works on whole tables:
+each atom is read through an index list over a slice of at most
+2**_SLICE_BITS assignments, the atoms are multiplied by ``map(mul, ...)``
+and the bound variables summed out by ``map(add, ...)``.  Its memory is a few
+index lists of one slice, however many variables are summed out.
+``instances.z_exact`` calls it directly and keeps its messages as ints;
+``_sum_product`` is its Fraction front end for the clone operations below and
+``gadgets.eval_pps``.
 
 ``_integer_table`` is the one place that scales a table to integers, by the
-lcm of its denominators.  ``_sum_product`` and the Walsh–Hadamard transform
-``_wht`` run on its ints: ``fourier`` and ``inverse_fourier`` build one
-Fraction per entry returned, and ``in_cp``/``in_sdp3`` read the signs of the
-integer transform.
+lcm of its denominators.  ``_sum_product``, ``instances.z_exact`` and the
+Walsh–Hadamard transform ``_wht`` run on its ints: ``_sum_product`` builds
+one Fraction per entry returned and ``z_exact`` one in all, ``fourier`` and
+``inverse_fourier`` one per entry returned, and ``in_cp``/``in_sdp3`` read the
+signs of the integer transform.
 
 The order predicates (``is_lsm``, ``is_log_modular``, ``is_monotone``,
 ``is_monotone_on_support``, ``is_trivial_binary``) never scale by the lcm:
@@ -41,7 +48,9 @@ import enum
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 ARITY_CAP = 16
@@ -113,7 +122,7 @@ class _Table:
 
     def __post_init__(self) -> None:
         _check_arity(self.arity)
-        values = tuple(frac(v) for v in self.table)
+        values = tuple(map(frac, self.table))
         if len(values) != 1 << self.arity:
             raise ValueError(f"arity {self.arity} needs {1 << self.arity} values, got {len(values)}")
         object.__setattr__(self, "table", values)
@@ -135,7 +144,9 @@ class PBFunction(_Table):
     def __post_init__(self) -> None:
         super().__post_init__()
         for v in self.table:
-            if v < 0:
+            # The numerator carries the sign; reading it is about four times
+            # faster than a Fraction comparison, and every table built passes here.
+            if v.numerator < 0:
                 raise ValueError(f"negative entry {v}; use SignedTable for signed data")
 
     def as_signed(self) -> "SignedTable":
@@ -185,8 +196,9 @@ XOR3 = PBFunction.from_values(3, (1, 0, 0, 1, 0, 1, 1, 0))
 
 def _integer_table(table: Sequence[Fraction]) -> tuple[list[int], int]:
     """The table times the lcm of its denominators, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in table))
-    return [v.numerator * (scale // v.denominator) for v in table], scale
+    ratios = [v.as_integer_ratio() for v in table]
+    scale = lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _wht(table: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -224,38 +236,79 @@ def inverse_fourier(F: SignedTable) -> SignedTable:
 # Sums of products
 
 
+# The kernel expands its atoms over at most 2**_SLICE_BITS assignments at a
+# time, so its index lists stay small however many variables are summed out.
+_SLICE_BITS = 12
+
+
+def _index_list(weights: Sequence[int]) -> list[int]:
+    """Each assignment's weight sum, in table order over the weighted variables."""
+    out = [0]
+    for w in reversed(weights):
+        out += [i + w for i in out] if w else out
+    return out
+
+
+def _int_sum_product(
+    n_free: int, n_vars: int, atoms: Iterable[tuple[Sequence[int], Sequence[int]]]
+) -> list[int]:
+    """Integer table over variables 0..n_free-1 of the atoms' product summed over the rest.
+
+    Each atom is a (table of ints, scope) pair over variables 0..n_vars-1,
+    variable 0 the most significant bit.  An atom reads its table through one
+    index list per slice: the low ``_SLICE_BITS`` variables are expanded as a
+    whole, with each atom's index offset for the high ones, which are looped.
+    The atoms' entries are multiplied by ``map(mul, ...)`` and the bound
+    variables, the lowest bits, are summed out by adding adjacent pairs with
+    ``map(add, ...)``, all lazily.
+    """
+    n_high = n_vars - _SLICE_BITS if n_vars > _SLICE_BITS else 0
+    columns = []
+    for table, scope in atoms:
+        weights = [0] * n_vars
+        bit = 1 << len(scope)
+        for v in scope:
+            bit >>= 1
+            weights[v] += bit
+        if n_high:
+            columns.append((table.__getitem__, _index_list(weights[:n_high]), _index_list(weights[n_high:])))
+        else:
+            columns.append((table.__getitem__, (0,), _index_list(weights)))
+
+    def product(high: int) -> Iterator[int]:
+        stream: Optional[Iterator[int]] = None
+        for get, high_index, low_index in columns:
+            offset = high_index[high]
+            column = map(get, map(offset.__add__, low_index) if offset else low_index)
+            stream = column if stream is None else map(mul, stream, column)
+        return repeat(1, 1 << (n_vars - n_high)) if stream is None else stream
+
+    stream = chain.from_iterable(map(product, range(1 << n_high))) if n_high else product(0)
+    for _ in range(n_vars - n_free):
+        stream = map(add, stream, stream)
+    return list(stream)
+
+
 def _sum_product(
     n_free: int, n_vars: int, atoms: Iterable[tuple[Sequence[Fraction], Sequence[int]]]
 ) -> tuple[Fraction, ...]:
-    """Table over variables 0..n_free-1 of the atoms' product summed over the rest.
+    """``_int_sum_product`` on Fraction tables, scaled by ``_integer_table``.
 
-    Each atom is a (table, scope) pair over variables 0..n_vars-1, variable 0
-    the most significant bit.  Every table is scaled to integers by
-    ``_integer_table``, so the inner loop multiplies ints and stops at the
-    first zero; each output entry becomes one Fraction.
+    A formula often names one table in several atoms; each table object is
+    scaled once per call.
     """
-    n_bound = n_vars - n_free
-    compiled: list[tuple[tuple[int, ...], list[int]]] = []
+    scaled: dict[int, tuple[list[int], int]] = {}
+    int_atoms = []
     denominator = 1
     for table, scope in atoms:
-        int_table, scale = _integer_table(table)
+        key = id(table)
+        if key not in scaled:
+            scaled[key] = _integer_table(table)
+        ints, scale = scaled[key]
         denominator *= scale
-        compiled.append((tuple(n_vars - 1 - v for v in scope), int_table))
-    out = []
-    for free in range(1 << n_free):
-        total = 0
-        for mask in range(free << n_bound, (free + 1) << n_bound):
-            prod = 1
-            for positions, int_table in compiled:
-                idx = 0
-                for p in positions:
-                    idx = (idx << 1) | ((mask >> p) & 1)
-                prod *= int_table[idx]
-                if not prod:
-                    break
-            total += prod
-        out.append(Fraction(total, denominator))
-    return tuple(out)
+        int_atoms.append((ints, scope))
+    out = _int_sum_product(n_free, n_vars, int_atoms)
+    return tuple(map(Fraction, out, repeat(denominator, len(out))))
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,19 @@ def extract_nonlsm_binary(f: PBFunction, g: PBFunction) -> NonLsmBinary:
 # Approximate pinning
 
 
+# approx_pin's bound on the bit length of its power's denominator, a size and
+# time guard: about 5 million digits, and a power near it takes about 5 s
+# (2 cores, Python 3.11).
+_PIN_BITS = 1 << 24
+
+
 def approx_pin(u: PBFunction, eps: Fraction) -> tuple[PBFunction, int]:
     """Entrywise power u**k with the off-pin value driven to at most eps.
 
     u must be a normalized strict unary: (a, 1) with 0 < a < 1 pins
     toward 1, and (1, a) pins toward 0.  k is minimal with a**k <= eps.
+    A k whose power would pass ``_PIN_BITS`` denominator bits raises
+    CapacityError before the power is built.
     """
     eps = frac(eps)
     if u.arity != 1:
@@ -389,7 +397,17 @@ def approx_pin(u: PBFunction, eps: Fraction) -> tuple[PBFunction, int]:
             log_off = math.log1p(-float(1 - off))
         else:
             log_off = math.log(off.numerator) - math.log(off.denominator)
-        est = math.floor(log_eps / log_off) if log_off else 1
+        ratio = log_eps / log_off if log_off else 0.0
+        bits = off.denominator.bit_length()
+        # k >= (1 - eps) / (2 (1 - off)) also holds where the float logs vanish.
+        if (1 - eps) * bits > 2 * (1 - off) * _PIN_BITS:
+            ratio = math.inf
+        if ratio * bits > _PIN_BITS:
+            raise CapacityError(
+                f"approx_pin needs about {ratio:.3g} powers of a {bits}-bit denominator, "
+                f"past {_PIN_BITS} bits"
+            )
+        est = math.floor(ratio)
         if est > 4:
             k = est - 2
             value = off**k

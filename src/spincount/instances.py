@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
@@ -39,7 +40,8 @@ from .funcs import (
     CapacityError,
     PBFunction,
     SignedTable,
-    _sum_product,
+    _int_sum_product,
+    _integer_table,
     parse_rational,
     product_form,
     table_text,
@@ -66,9 +68,11 @@ Table = Union[PBFunction, SignedTable]
 _T = TypeVar("_T")
 
 # z_exact's bound on the products its elimination plan predicts, a time guard:
-# at 0.4-1.6 us per product (2 cores, Python 3.11; cliques to grids), a plan at
-# the budget runs in 2-7 s.  A step costs at least twice its table's size, so
-# no table holds more than ELIMINATION_BUDGET / 2 entries.
+# at 0.06-0.2 us per product on tables of small ints and 0.3-0.55 us on the
+# long ints of tables with denominators (2 cores, Python 3.11, a shared host;
+# cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  A step
+# costs at least twice its table's size, so no table holds more than
+# ELIMINATION_BUDGET / 2 entries.
 ELIMINATION_BUDGET = 1 << 22
 NEAR_CAP = 12
 # Conversion certificates are computed by z_exact only up to this size.
@@ -290,13 +294,6 @@ def serialize(inst: CspInstance) -> str:
 # Exact evaluation
 
 
-def _factors(csp: CspInstance) -> list[tuple[Sequence[Fraction], list[int]]]:
-    """Each constraint as a (table, scope of variable indices) pair."""
-    index = {v: i for i, v in enumerate(csp.variables)}
-    names = csp.registry_map()
-    return [(names[name].table, [index[v] for v in scope]) for scope, name in csp.constraints]
-
-
 def _elimination_plan(
     n: int, scopes: Sequence[Sequence[int]], budget: int
 ) -> list[tuple[int, list[int], list[int]]]:
@@ -354,21 +351,28 @@ def z_exact(inst: CspInstance) -> Fraction:
 
     Exact, signed registries allowed.  A plan predicted to take more than
     ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
-    built.
+    built.  Each used table is scaled to ints once by ``_integer_table``, the
+    messages stay ints, and the one Fraction is the total over the product of
+    every table's scale raised to its uses.
     """
-    atoms = _factors(inst)
+    index = {v: i for i, v in enumerate(inst.variables)}
+    names = inst.registry_map()
+    uses = Counter(name for _, name in inst.constraints)
+    scaled = {name: _integer_table(names[name].table) for name in uses}
+    atoms = [(scaled[name][0], [index[v] for v in scope]) for scope, name in inst.constraints]
+    denominator = math.prod(scaled[name][1] ** count for name, count in uses.items())
     plan = _elimination_plan(len(inst.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
-    total = math.prod((table[0] for table, scope in atoms if not scope), start=Fraction(1))
+    total = math.prod(table[0] for table, scope in atoms if not scope)
     for v, bucket, free in plan:
         # The bucket's product summed over v: free variables first, v bound.
         local = {u: i for i, u in enumerate(free)}
         local[v] = len(free)
         bucket_atoms = [(atoms[a][0], [local[u] for u in atoms[a][1]]) for a in bucket]
-        table = _sum_product(len(free), len(free) + 1, bucket_atoms)
+        table = _int_sum_product(len(free), len(free) + 1, bucket_atoms)
         atoms.append((table, free))
         if not free:
             total *= table[0]
-    return total
+    return Fraction(total, denominator)
 
 
 class _ParityUnion:

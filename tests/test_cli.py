@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,14 @@ def test_gadget_pin(capsys):
     assert "error: unary 3 3 is not strictly monotone permissive" in capsys.readouterr().err
     assert main(["gadget", "pin", "--fun", "0 1", "--eps", "1/10"]) == 2
     assert "error: unary 0 1 is not strictly monotone permissive" in capsys.readouterr().err
+
+
+def test_gadget_pin_exits_3_past_the_power_bound(capsys):
+    """1 - 1/10**6 to a tolerance of 1/3 needs k near 1.1 million: refused at once."""
+    start = time.perf_counter()
+    assert main(["gadget", "pin", "--fun", "1000000 999999", "--eps", "1/3"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "20-bit denominator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -66,10 +67,25 @@ def _no_tables(*args):
     raise AssertionError("a table was built past the budget")
 
 
+def _patch_kernel(monkeypatch, registry, formula):
+    """Check that a within-budget formula reaches the kernel eval_pps calls, then make it refuse tables."""
+    kernel = gadgets._sum_product
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gadgets, "_sum_product", counted)
+    eval_pps(formula, registry)
+    assert len(calls) == 1
+    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+
+
 def test_eval_pps_refuses_before_summing(monkeypatch):
     """An atom-free formula still walks every assignment, and a table of more
     than ARITY_CAP free variables is refused: neither reaches the sum."""
-    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    _patch_kernel(monkeypatch, {}, parse_pps("pps 0 20"))
     with pytest.raises(CapacityError, match="products"):
         eval_pps(parse_pps("pps 0 40"), {})
     with pytest.raises(CapacityError, match="arity"):
@@ -84,11 +100,26 @@ def test_eval_pps_product_budget(monkeypatch):
     path = PpsFormula(1, 2, (("f", (0, 1)), ("f", (1, 2))))
     monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 16)
     assert eval_pps(path, registry).table == (17, 37)
-    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    _patch_kernel(monkeypatch, registry, path)
     with pytest.raises(CapacityError, match="products"):
         eval_pps(PpsFormula(1, 3, path.atoms), registry)
     with pytest.raises(CapacityError, match="products"):
         eval_pps(PpsFormula(0, 5, ()), {})
+
+
+def test_eval_pps_memory_stays_within_a_slice():
+    """pps 1 16 sums 2**17 assignments of two atoms.  The kernel expands
+    2**_SLICE_BITS of them at a time, so the traced peak stays far below the
+    index lists of the whole space (2 MB)."""
+    formula = parse_pps("pps 1 16 ; f v0 v1 ; f v1 v2")
+    tracemalloc.start()
+    try:
+        table = eval_pps(formula, {"f": binary(1, 2, 3, 4)}).table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == (278528, 606208)
+    assert peak < 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +254,23 @@ def test_approx_pin_past_float_range():
     assert approx_pin(unary(1, Fraction(1, 10**400)), Fraction(1, 10**900))[1] == 3
     # 1 - off is 0 as a float, so the log estimate is skipped and the exact loop counts.
     assert approx_pin(unary(1 - Fraction(1, 10**400), 1), 1 - Fraction(1, 10**399))[1] == 11
+
+
+def test_approx_pin_refuses_a_power_past_its_size_bound():
+    """A power whose denominator the log estimate puts past _PIN_BITS raises
+    before it is built, also when the estimate, 1 - off or 1 - eps is past float range."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="1.1e\\+06 powers of a 20-bit denominator"):
+        approx_pin(unary(1, Fraction(999999, 1000000)), Fraction(1, 3))
+    with pytest.raises(CapacityError, match="inf powers"):
+        approx_pin(unary(1 - Fraction(1, 10**320), 1), Fraction(1, 3))
+    # 1 - off is 0 as a float, or eps is 1 as a float: the bound comes from
+    # 1 - eps over 2 (1 - off).
+    with pytest.raises(CapacityError, match="inf powers"):
+        approx_pin(unary(1 - Fraction(1, 10**400), 1), Fraction(1, 3))
+    with pytest.raises(CapacityError, match="inf powers"):
+        approx_pin(unary(1 - Fraction(1, 10**30), 1), 1 - Fraction(1, 10**17))
+    assert time.perf_counter() - start < 1
 
 
 def test_approx_pin_rejects_unnormalized():

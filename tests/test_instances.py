@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 import re
 from fractions import Fraction
@@ -291,15 +293,87 @@ def test_z_eliminate_long_ring_is_trace_of_matrix_power():
 
 def test_z_eliminate_width_cap(monkeypatch):
     """K_17 (4.06M predicted products) is the largest EQ clique within the budget;
-    K_18 (8.65M) raises before any table is built."""
+    K_18 (8.65M) raises before any table is built.  The patched name is the
+    kernel z_exact calls: a counting patch sees each of K_17's buckets."""
+    kernel = instances._int_sum_product
+    buckets = []
+
+    def counted(*args):
+        buckets.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(instances, "_int_sum_product", counted)
     assert z_exact(clique_instance(EQ, 17)) == 2
+    assert sorted(buckets) == list(range(1, 18))
 
     def no_tables(*args):
         raise AssertionError("a table was built past the budget")
 
-    monkeypatch.setattr(instances, "_sum_product", no_tables)
+    monkeypatch.setattr(instances, "_int_sum_product", no_tables)
     with pytest.raises(CapacityError, match="products"):
         z_exact(clique_instance(EQ, 18))
+
+
+def _grid(fn: PBFunction, rows: int, cols: int) -> CspInstance:
+    """The rows x cols grid, fn(x[i][j], x[i+1][j]) down and fn(x[i][j], x[i][j+1]) across."""
+    return CspInstance.build(
+        {"f": fn},
+        [((f"x{i}_{j}", f"x{i + 1}_{j}"), "f") for i in range(rows - 1) for j in range(cols)]
+        + [((f"x{i}_{j}", f"x{i}_{j + 1}"), "f") for i in range(rows) for j in range(cols - 1)],
+    )
+
+
+def _grid_z_by_transfer_matrix(fn: PBFunction, rows: int, cols: int) -> Fraction:
+    """Z of ``_grid`` column by column over the 2**rows states of a column, in Fractions.
+
+    Bit i of a state is row i.  A column's own weight is the product of its
+    vertical constraints; the step to the next column applies the horizontal
+    constraint of one row at a time.
+    """
+    f = fn.table
+    states = range(1 << rows)
+
+    def bit(s: int, i: int) -> int:
+        return (s >> i) & 1
+
+    column = [
+        math.prod((f[2 * bit(s, i) + bit(s, i + 1)] for i in range(rows - 1)), start=Fraction(1))
+        for s in states
+    ]
+    weights = column
+    for _ in range(cols - 1):
+        for i in range(rows):
+            m = 1 << i
+            weights = [weights[s & ~m] * f[bit(s, i)] + weights[s | m] * f[2 + bit(s, i)] for s in states]
+        weights = [w * c for w, c in zip(weights, column)]
+    return sum(weights)
+
+
+def test_z_exact_grids_match_a_transfer_matrix():
+    """The 8x30 grid of a table with four denominators, and a small grid of an
+    asymmetric signed table, against a transfer matrix."""
+    grid_fn = binary(Fraction(2, 3), Fraction(1, 5), Fraction(1, 5), Fraction(7, 4))
+    assert z_exact(_grid(grid_fn, 8, 30)) == _grid_z_by_transfer_matrix(grid_fn, 8, 30)
+    skew = SignedTable(2, (Fraction(3, 2), Fraction(-1, 3), Fraction(2, 7), Fraction(5, 4)))
+    assert z_exact(_grid(skew, 4, 7)) == _grid_z_by_transfer_matrix(skew, 4, 7)
+
+
+def test_z_exact_outputs_frozen():
+    """Seeded z_exact values hash to a digest taken before the integer kernel.
+
+    600 small instances cover signed tables, zeros, repeated variables in a
+    scope, nullary atoms, unused variables and mixed denominators; 6 dense
+    ternary ones on 15-16 variables have buckets wider than one kernel slice.
+    """
+    rng = random.Random(1800)
+    digest = hashlib.sha256()
+    shapes = [(0, rng.randint(0, 9), rng.randint(0, 14)) for _ in range(600)]
+    shapes += [(3, rng.randint(15, 16), rng.randint(100, 120)) for _ in range(6)]
+    for low, n_vars, n_constraints in shapes:
+        arities = [rng.randint(min(low, n_vars), min(3, n_vars)) for _ in range(rng.randint(1, 4))]
+        inst = rand_csp_instance(rng, [_rand_signed_function(rng, k) for k in arities], n_vars, n_constraints)
+        digest.update(f"{z_exact(inst)}\n".encode())
+    assert digest.hexdigest() == "1b0d8c6015d2c8266425bba20c75373029e7a9ed50cbd210673c2cc56e316eab"
 
 
 def test_z_exact_grid_within_budget():

@@ -6,8 +6,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from helpers import rand_function
 from spincount.funcs import (
+    _SLICE_BITS,
+    _int_sum_product,
     _sum_product,
     add_fictitious,
     identify,
@@ -63,6 +67,34 @@ def test_sum_product_covers_repeats_unused_and_nullary_atoms():
     assert _sum_product(0, 1, [(half, (0,)), (half, (0,))]) == (Fraction(1, 4) + 9,)
     assert _sum_product(0, 0, []) == (Fraction(1),)
     assert _sum_product(0, 3, []) == (Fraction(8),)
+
+
+@pytest.mark.parametrize(
+    "n_free, n_bound",
+    [
+        (3, _SLICE_BITS - 1),  # a slice holds two free entries' sums
+        (2, _SLICE_BITS),  # a slice is one free entry's sum
+        (1, _SLICE_BITS + 1),  # two slices add into one entry
+        (0, _SLICE_BITS + 2),  # four slices, one entry
+        (0, _SLICE_BITS),  # one slice, no loop
+    ],
+)
+def test_int_sum_product_across_the_slice_width(n_free, n_bound):
+    """Fewer, as many and more bound variables than one slice expands.  Atoms
+    span the looped and the expanded variables, repeat a variable, hold signed
+    entries and zeros, and one is nullary."""
+    n_vars = n_free + n_bound
+    rng = random.Random(n_vars * 31 + n_free)
+    atoms = [((rng.choice((-2, 3)),), ())]
+    for _ in range(5):
+        arity = rng.randint(1, 3)
+        table = [rng.randint(-3, 5) for _ in range(1 << arity)]
+        atoms.append((table, tuple(rng.randrange(n_vars) for _ in range(arity))))
+    atoms.append(([2, 0, -1, 3], (0, n_vars - 1)))
+    atoms.append(([1, 4, 2, 1], (n_vars - 1, n_vars - 1)))
+    want = _direct_sum_product(n_free, n_vars, atoms)
+    assert tuple(_int_sum_product(n_free, n_vars, atoms)) == want
+    assert _sum_product(n_free, n_vars, atoms) == want
 
 
 def _functions(seed: int, count: int = 40):
