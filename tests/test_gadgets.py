@@ -19,6 +19,7 @@ from spincount.funcs import (
     EQ3,
     IMP,
     CapacityError,
+    PBFunction,
     binary,
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,
@@ -120,6 +121,14 @@ def test_eval_pps_memory_stays_within_a_slice():
         tracemalloc.stop()
     assert table == (278528, 606208)
     assert peak < 1 << 19
+
+
+def test_eval_pps_with_many_atoms():
+    """10**5 nullary atoms multiply in one slice without a chain as deep as the atoms."""
+    n = 10**5
+    formula = PpsFormula(0, 0, (("c", ()), ("d", ())) * (n // 2))
+    registry = {"c": PBFunction(0, (Fraction(3, 2),)), "d": PBFunction(0, (Fraction(4, 3),))}
+    assert eval_pps(formula, registry).table == (Fraction(2) ** (n // 2),)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,18 @@ def test_z_exact_grid_within_budget():
     assert z_exact(grid) == 2
 
 
+def test_z_exact_star_with_many_leaves():
+    """The hub of a star with 10**5 leaves takes 10**5 messages in one bucket;
+    the kernel's depth does not grow with a bucket's atoms."""
+    n = 10**5 + 1
+    signs = SignedTable(2, (Fraction(1), Fraction(0), Fraction(0), Fraction(-1)))
+    star = CspInstance.build(
+        {"s": signs, "u": unary(1, 2)}, [(("h", f"l{i}"), "s") for i in range(n)] + [(("h",), "u")]
+    )
+    # Each leaf copies the hub, and weighs -1 where it is 1: 1 + 2 * (-1)**n.
+    assert z_exact(star) == -1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 4000])
 def test_min_degree_width_on_rings_and_paths(n):
     """Rings order within width 2 and paths within width 1, every variable once."""
