@@ -76,10 +76,7 @@ def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
 
 @contextlib.contextmanager
 def _any_int_digits():
-    """Lift Python's int-string limit while results are written; it still guards input literals.
-
-    Records that the library spells itself (``record()``) are built inside it too.
-    """
+    """Lift Python's int-string limit while results are written; it still guards input literals."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -89,9 +86,10 @@ def _any_int_digits():
 
 
 @_any_int_digits()
-def _emit(record: list[tuple[str, object]], machine: bool) -> None:
-    """Write a record: a tuple value as ``table_text``, any other as ``record_value`` spells it."""
-    texts = [(key, table_text(v) if isinstance(v, tuple) else record_value(v)) for key, v in record]
+def _emit(record: Sequence[object], machine: bool) -> None:
+    """Write (key, value) pairs, and each report's ``record()`` pairs, inside the lifted limit."""
+    pairs = [pair for item in record for pair in ([item] if isinstance(item, tuple) else item.record())]
+    texts = [(key, table_text(v) if isinstance(v, tuple) else record_value(v)) for key, v in pairs]
     if machine:
         quoted = (f'{key}="{text}"' if re.search(r"\s", text) else f"{key}={text}" for key, text in texts)
         print(" ".join(quoted))
@@ -121,14 +119,13 @@ def _require_function(value: Union[PBFunction, SignedTable], what: str) -> PBFun
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     f = _require_function(parse_function_literal(args.fun), "classify input")
-    with _any_int_digits():
-        _emit(classify_two_spin(f).record(), args.machine)
+    _emit([classify_two_spin(f)], args.machine)
     return 0
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
     f = _require_function(parse_function_literal(args.fun), "props input")
-    _emit(property_report(f).record(), args.machine)
+    _emit([property_report(f)], args.machine)
     return 0
 
 
@@ -161,7 +158,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         if args.up is not None:
             up = _require_function(parse_function_literal(args.up), "--up")
         sym, report = symmetrize(f, args.mode, up)
-        record = [("table", sym.table)] + report.record()
+        record = [("table", sym.table), report]
     elif args.construction == "extract":
         if args.fun2 is None:
             raise ValueError("extract needs --fun2")

@@ -13,15 +13,16 @@ The text format is line oriented:
     fun <name> <arity> <values...>     values MSB-first, integers or p/q
     con <name> <var> <var> ...
 
-Variables are declared implicitly on first use.  Negative values in a ``fun``
-line produce a signed table; signed registries are accepted only by
+Variables are declared implicitly on first use.  An arity past
+``ARITY_CAP`` raises CapacityError naming its line.  Negative values in a
+``fun`` line produce a signed table; signed registries are accepted only by
 ``z_exact`` and ``holographic_transform``.
 
 ``z_exact`` answers by bucket elimination at any size whose plan is predicted
 to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
 before building any table past it.  ``near_assignment_total`` refuses
 instances of more than ``NEAR_CAP`` variables.  Both constants are read at
-call time.
+call time.  Tables are scaled, summed and mapped in ``funcs`` alone.
 """
 
 from __future__ import annotations
@@ -29,19 +30,21 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
+    ARITY_CAP,
     EQ3,
     NEQ,
     CapacityError,
     PBFunction,
+    Rational,
     SignedTable,
     _int_sum_product,
-    _integer_table,
+    _integer_atoms,
+    _map_axes,
     parse_rational,
     product_form,
     table_text,
@@ -239,6 +242,9 @@ def parse(text: str) -> CspInstance:
                 raise InstanceError(f"bad arity {tokens[2]!r}", lineno)
             if arity < 1:
                 raise InstanceError(f"bad arity {arity}", lineno)
+            if arity > ARITY_CAP:
+                # Refused before 1 << arity, which a huge arity makes huge.
+                raise CapacityError(f"line {lineno}: arity {arity} exceeds the cap of {ARITY_CAP}")
             values = [_parse_value(t, lineno) for t in tokens[3:]]
             if len(values) != 1 << arity:
                 raise InstanceError(
@@ -351,16 +357,14 @@ def z_exact(inst: CspInstance) -> Fraction:
 
     Exact, signed registries allowed.  A plan predicted to take more than
     ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
-    built.  Each used table is scaled to ints once by ``_integer_table``, the
-    messages stay ints, and the one Fraction is the total over the product of
-    every table's scale raised to its uses.
+    built.  ``_integer_atoms`` scales each used table to ints once, the
+    messages stay ints, and the one Fraction is the total over its denominator.
     """
     index = {v: i for i, v in enumerate(inst.variables)}
     names = inst.registry_map()
-    uses = Counter(name for _, name in inst.constraints)
-    scaled = {name: _integer_table(names[name].table) for name in uses}
-    atoms = [(scaled[name][0], [index[v] for v in scope]) for scope, name in inst.constraints]
-    denominator = math.prod(scaled[name][1] ** count for name, count in uses.items())
+    atoms, denominator = _integer_atoms(
+        (names[name].table, [index[v] for v in scope]) for scope, name in inst.constraints
+    )
     plan = _elimination_plan(len(inst.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
     total = math.prod(table[0] for table, scope in atoms if not scope)
     for v, bucket, free in plan:
@@ -617,38 +621,20 @@ def _certify(csp: CspInstance, holant: HolantInstance) -> HolantConversion:
 # Holographic transformation
 
 
-def _transform_table(fn: Table, m: Sequence[Sequence[Fraction]]) -> SignedTable:
-    k = fn.arity
-    table = list(fn.table)
-    for axis in range(k):
-        stride = 1 << (k - 1 - axis)
-        out = table[:]
-        for i in range(1 << k):
-            if i & stride:
-                continue
-            lo, hi = table[i], table[i | stride]
-            out[i] = m[0][0] * lo + m[0][1] * hi
-            out[i | stride] = m[1][0] * lo + m[1][1] * hi
-        table = out
-    return SignedTable(k, tuple(table))
-
-
-def holographic_transform(
-    inst: HolantInstance, matrix: Sequence[Sequence[object]]
-) -> HolantInstance:
+def holographic_transform(inst: HolantInstance, matrix: Sequence[Sequence[Rational]]) -> HolantInstance:
     """Replace every table by its image under the matrix applied to each axis.
 
     Requires matrix * matrix^T to be a nonzero scalar multiple of the
     identity; the partition function then changes by scalar**n for an
-    n-variable instance.
+    n-variable instance.  Entries are read as ``frac`` reads them, so floats
+    are refused.
     """
-    m = [[Fraction(matrix[i][j]) for j in range(2)] for i in range(2)]
-    c = m[0][0] ** 2 + m[0][1] ** 2
-    off = m[0][0] * m[1][0] + m[0][1] * m[1][1]
-    c2 = m[1][0] ** 2 + m[1][1] ** 2
-    if off != 0 or c != c2 or c == 0:
+    m = SignedTable.from_values(2, [matrix[i][j] for i in range(2) for j in range(2)])
+    a, b, c, d = m.table
+    scalar = a * a + b * b
+    if a * c + b * d != 0 or c * c + d * d != scalar or scalar == 0:
         raise InstanceError("matrix times its transpose is not a nonzero scalar identity")
-    registry = tuple((name, _transform_table(fn, m)) for name, fn in inst.registry)
+    registry = tuple((name, _map_axes(fn, m)) for name, fn in inst.registry)
     return HolantInstance(inst.variables, registry, inst.constraints)
 
 

@@ -234,7 +234,8 @@ def test_z_estimate_reads_one_table_under_two_names(tmp_path, capsys):
 def test_results_print_past_the_int_string_limit(tmp_path, capsys):
     """3^10000 + 1 has 4772 digits, past Python's int-string limit: it prints in full, the
     limit is the same after main returns, and a 4400-digit input literal is still refused.
-    classify's f01 over two 4002-digit denominators has more than 8000 digits."""
+    classify's f01 over two 4002-digit denominators has more than 8000 digits, and
+    symmetrize's pure_value of 3001-digit entries has 6001."""
     path = tmp_path / "ring10k.csp"
     lines = "".join(f"con f x{i} x{(i + 1) % 10000}\n" for i in range(10000))
     path.write_text("fun f 2 2 1 1 2\n" + lines)
@@ -260,6 +261,10 @@ def test_results_print_past_the_int_string_limit(tmp_path, capsys):
     assert main(["classify", "--fun", f"2 1/{d1} 1/{d2} 1 1", "--machine"]) == 0
     f01 = capsys.readouterr().out.split(" f01=")[1].split()[0]
     assert len(f01) > 8000
+    assert sys.get_int_max_str_digits() == limit
+    x = "1" + "0" * 3000
+    assert main(["gadget", "symmetrize", "--mode", "1", "--fun", f"2 {x} {x} {x} 0", "--machine"]) == 0
+    assert capsys.readouterr().out.split(" pure_value=")[1].split()[0] == "1" + "0" * 6000
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -337,6 +342,10 @@ def _clique_file(tmp_path, k: int) -> str:
 def test_exit_code_on_capacity(tmp_path, capsys):
     assert main(["z-exact", _clique_file(tmp_path, 18)]) == 3
     assert "error:" in capsys.readouterr().err
+    path = tmp_path / "huge.csp"
+    path.write_text("fun f 1000000 1\n")
+    assert main(["z-exact", str(path)]) == 3
+    assert "error: line 1: arity 1000000 exceeds the cap" in capsys.readouterr().err
 
 
 def test_exit_code_on_parse_error(tmp_path, capsys):

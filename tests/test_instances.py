@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from spincount.funcs import (
+    ARITY_CAP,
     DELTA0,
     DELTA1,
     EQ,
@@ -22,6 +23,7 @@ from spincount.funcs import (
     PBFunction,
     SignedTable,
     binary,
+    table_text,
     unary,
 )
 from spincount import instances
@@ -109,6 +111,11 @@ def test_parse_errors_carry_line_numbers():
     except InstanceError as e:
         err = e
     assert err is not None and err.line == 2
+    # An arity past the cap is refused before its 2**arity values are counted.
+    with pytest.raises(CapacityError, match=f"line 1: arity 1000000 exceeds the cap of {ARITY_CAP}"):
+        parse("fun f 1000000 1\n")
+    with pytest.raises(CapacityError, match="line 2: arity 17 exceeds"):
+        parse(f"fun u 1 1 2\nfun f 17{' 1' * (1 << 17)}\n")
 
 
 def test_build_validates_scopes():
@@ -714,6 +721,41 @@ def test_holographic_transform_rejects_non_orthogonal():
     for bad in ([[1, 1], [0, 1]], [[1, 0], [0, 2]], [[0, 0], [0, 0]]):
         with pytest.raises(InstanceError, match="scalar identity"):
             holographic_transform(prism, bad)
+
+
+def test_holographic_transform_outputs_frozen():
+    """Seeded signed registries of arity 1-6 under seven matrices, rational,
+    asymmetric and of scalars other than 1, hash to a digest taken on the
+    Fraction butterfly that the integer map replaced."""
+    rng = random.Random(1900)
+    registry = tuple((f"f{k}_{i}", _rand_signed_function(rng, k)) for k in range(1, 7) for i in range(4))
+    inst = HolantInstance((), registry, ())
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    matrices = (
+        [[1, 1], [1, -1]],
+        [[3, 4], [4, -3]],
+        [[half, half], [half, -half]],
+        [[0, 1], [1, 0]],
+        [[third, 0], [0, -third]],
+        [[3, -4], [4, 3]],
+        [[0, -1], [1, 0]],
+    )
+    digest = hashlib.sha256()
+    for matrix in matrices:
+        for name, fn in holographic_transform(inst, matrix).registry:
+            digest.update(f"{name} {table_text(fn.table)}\n".encode())
+    assert digest.hexdigest() == "16c4e0456a261f4b27237491c64235cee3499e9af77f04243ddefcecf41b9696"
+
+
+def test_holographic_transform_reads_entries_as_frac():
+    """Matrix entries are exact rationals: floats raise TypeError and decimal strings ValueError."""
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
+    with pytest.raises(TypeError, match="exact rational"):
+        holographic_transform(prism, [[0.6, 0.8], [0.8, -0.6]])
+    with pytest.raises(ValueError, match="bad rational literal"):
+        holographic_transform(prism, [["0.6", "4/5"], ["4/5", "-3/5"]])
+    image = holographic_transform(prism, [["3/5", "4/5"], ["4/5", "-3/5"]])
+    assert z_exact(image) == z_exact(prism)
 
 
 # ---------------------------------------------------------------------------
