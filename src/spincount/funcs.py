@@ -36,13 +36,15 @@ transform.  ``_wht``'s ±1 butterfly has no products, so ``inverse_fourier``
 takes 1.9-2.8x less time on it than on ``_map_axes`` at arities 2-10.
 
 The order predicates (``is_lsm``, ``is_log_modular``, ``is_monotone``,
-``is_monotone_on_support``, ``is_trivial_binary``) never scale by the lcm:
-they compare cross-products of the entries' own numerators and denominators,
-read once per call by ``_ratios``, so every product is about as long as the
-entries.  Scaled by the lcm, each entry of an arity-9 table whose 512
-denominators are distinct primes is thousands of bits long: ``is_lsm`` on it
-took 7.8 s that way and 0.9 s on Fraction products, and takes under 0.1 s
-cross-multiplied (2-vCPU Xeon VM, Python 3.11).
+``is_monotone_on_support``, ``is_trivial_binary``, the permissive-unary
+tests, and ``gadgets``' pair searches through ``_rises``) never scale by the
+lcm: they compare cross-products of the entries' own numerators and
+denominators, read once per call by ``_ratios``, so every product is about as
+long as the entries and no comparison goes through ``Fraction``'s own.
+Scaled by the lcm, each entry of an arity-9 table whose 512 denominators are
+distinct primes is thousands of bits long: ``is_lsm`` on it took 7.8 s that
+way and 0.9 s on Fraction products, and takes under 0.1 s cross-multiplied
+(2-vCPU Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -487,6 +489,11 @@ def _ratios(f: PBFunction) -> tuple[list[int], list[int]]:
     return [v.numerator for v in f.table], [v.denominator for v in f.table]
 
 
+def _rises(p: Sequence[int], q: Sequence[int], x: int, y: int) -> bool:
+    """0 < f(x) < f(y), for f's numerators p and denominators q."""
+    return p[x] > 0 and p[x] * q[y] < p[y] * q[x]
+
+
 def _lattice_sides(f: PBFunction) -> Iterator[tuple[int, int]]:
     """f(x|y) f(x&y) and f(x) f(y), both times q[x] q[y] q[x|y] q[x&y], for each
     incomparable pair x < y; on a comparable pair the two sides are equal."""
@@ -509,9 +516,10 @@ def is_log_modular(f: PBFunction) -> bool:
     return all(join_meet == pair for join_meet, pair in _lattice_sides(f))
 
 
-def _monotone_on(f: PBFunction, points: Sequence[int]) -> bool:
-    """f(a) <= f(b) for all a <= b bitwise among the points, given in increasing order."""
+def _monotone_on(f: PBFunction, support_only: bool) -> bool:
+    """f(a) <= f(b) for all a <= b bitwise, among every point or only f's nonzero ones."""
     p, q = _ratios(f)
+    points = [i for i, x in enumerate(p) if x] if support_only else range(len(p))
     for i, a in enumerate(points):
         for b in points[i + 1 :]:
             if (a & b) == a and p[a] * q[b] > p[b] * q[a]:
@@ -520,15 +528,15 @@ def _monotone_on(f: PBFunction, points: Sequence[int]) -> bool:
 
 
 def is_monotone(f: PBFunction) -> bool:
-    return _monotone_on(f, range(len(f.table)))
+    return _monotone_on(f, False)
 
 
 def is_monotone_on_support(f: PBFunction) -> bool:
-    return _monotone_on(f, [i for i, v in enumerate(f.table) if v != 0])
+    return _monotone_on(f, True)
 
 
 def is_support_join_closed(f: PBFunction) -> bool:
-    nonzero = [i for i, v in enumerate(f.table) if v != 0]
+    nonzero = [i for i, v in enumerate(f.table) if v.numerator]
     pointset = set(nonzero)
     for i, a in enumerate(nonzero):
         for b in nonzero[i + 1 :]:
@@ -566,11 +574,11 @@ def is_trivial_binary(f: PBFunction) -> bool:
 
 
 def is_increasing_permissive_unary(f: PBFunction) -> bool:
-    return f.arity == 1 and 0 < f.table[0] < f.table[1]
+    return f.arity == 1 and _rises(*_ratios(f), 0, 1)
 
 
 def is_decreasing_permissive_unary(f: PBFunction) -> bool:
-    return f.arity == 1 and f.table[0] > f.table[1] > 0
+    return f.arity == 1 and _rises(*_ratios(f), 1, 0)
 
 
 def record_value(value: object) -> str:

@@ -31,6 +31,8 @@ from .funcs import (
     PBFunction,
     PropertyReport,
     _check_arity,
+    _ratios,
+    _rises,
     _sum_product,
     bits_of,
     bit_flip,
@@ -167,7 +169,8 @@ def _verify_formula(
     formula: PpsFormula, registry: Mapping[str, PBFunction], claimed: PBFunction, what: str
 ) -> None:
     actual = eval_pps(formula, registry)
-    if actual.table != claimed.table:
+    # Fractions are kept in lowest terms, so equal entries have equal ratios.
+    if [v.as_integer_ratio() for v in actual.table] != [v.as_integer_ratio() for v in claimed.table]:
         raise GadgetError(
             f"{what}: formula evaluates to {table_text(actual.table)}, "
             f"construction claims {table_text(claimed.table)}"
@@ -492,15 +495,17 @@ class PinningVerdict:
                 raise GadgetError(f"{self.tag.value} needs a witness whose flip is not monotone on support")
 
 
-def _unary_on_chain(i: int, f: PBFunction, accept) -> tuple[PBFunction, PpsFormula]:
-    """The unary (f(a), f(b)) at the least pair a <= b with accept(f(a), f(b)), named f{i}.
+def _unary_on_chain(i: int, f: PBFunction, rising: bool) -> tuple[PBFunction, PpsFormula]:
+    """The unary (f(a), f(b)) at the least pair a <= b with 0 < f(a) < f(b) if
+    rising, else f(a) > f(b) > 0, named f{i}.
 
-    0 < f(a) < f(b) exists iff flip(f) is not monotone on its support, and
-    f(a) > f(b) > 0 iff f is not.
+    The rising pair exists iff flip(f) is not monotone on its support, and
+    the falling one iff f is not.
     """
-    t = f.table
-    pair = _first_pair(f, lambda a, b: (a & b) == a and accept(t[a], t[b]))
+    p, q = _ratios(f)
+    pair = _first_pair(f, lambda a, b: (a & b) == a and (_rises(p, q, a, b) if rising else _rises(p, q, b, a)))
     assert pair is not None
+    t = f.table
     return PBFunction(1, (t[pair[0]], t[pair[1]])), _pin_identify_formula(f"f{i}", f, pair, 1)
 
 
@@ -516,15 +521,16 @@ def _case2(
     wi = next(i for i, f in enumerate(family) if not is_monotone_on_support(bit_flip(f)))
     if all(is_support_join_closed(f) for f in family):
         return wi
-    up, up_formula = _unary_on_chain(wi, family[wi], lambda lo, hi: 0 < lo < hi)
+    up, up_formula = _unary_on_chain(wi, family[wi], True)
     gi, g = next((i, f) for i, f in enumerate(family) if not is_support_join_closed(f))
-    t = g.table
-    pair = _first_pair(g, lambda a, b: t[a] != 0 and t[b] != 0 and t[a | b] == 0)
+    p, _ = _ratios(g)
+    pair = _first_pair(g, lambda a, b: p[a] != 0 and p[b] != 0 and p[a | b] == 0)
     assert pair is not None
     h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)
     registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
-    if h.table[1] == 0 or h.table[2] == 0 or h.table[3] != 0:
+    hp, _ = _ratios(h)
+    if hp[1] == 0 or hp[2] == 0 or hp[3] != 0:
         raise GadgetError(f"join-gap gadget has unexpected shape {table_text(h.table)}")
     down_formula = _compose(1, 1, grafts=[(h_formula, (0, 1)), (h_formula, (1, 0)), (up_formula, (1,))])
     return up, up_formula, eval_pps(down_formula, registry), down_formula
@@ -543,8 +549,8 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     mos_flip = [is_monotone_on_support(bit_flip(f)) for f in family]
     if not all(mos) and not all(mos_flip):
         fi, gi = mos.index(False), mos_flip.index(False)
-        down, down_formula = _unary_on_chain(fi, family[fi], lambda lo, hi: lo > hi > 0)
-        up, up_formula = _unary_on_chain(gi, family[gi], lambda lo, hi: 0 < lo < hi)
+        down, down_formula = _unary_on_chain(fi, family[fi], False)
+        up, up_formula = _unary_on_chain(gi, family[gi], True)
         return PinningVerdict(PinningTag.BOTH_UNARIES, 1, family, up, down, up_formula, down_formula)
     if all(mos) != all(mos_flip):
         flipped = all(mos_flip)
@@ -563,13 +569,14 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     if all(pure_value(f)[0] for f in family):
         return PinningVerdict(PinningTag.ALL_PURE, 4, family)
     gi, g = next((i, f) for i, f in enumerate(family) if not pure_value(f)[0])
-    t = g.table
-    pair = _first_pair(g, lambda a, b: 0 < t[a] < t[b])
+    p, q = _ratios(g)
+    pair = _first_pair(g, lambda a, b: _rises(p, q, a, b))
     assert pair is not None
     h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)
     registry = _base_registry(family)
     h = eval_pps(h_formula, registry)
-    if h.table[0] != 0 or h.table[3] != 0 or not 0 < h.table[1] < h.table[2]:
+    hp, hq = _ratios(h)
+    if hp[0] != 0 or hp[3] != 0 or not _rises(hp, hq, 1, 2):
         raise GadgetError(f"pure-gap gadget has unexpected shape {table_text(h.table)}")
     xy, yx = (h_formula, (0, 1)), (h_formula, (1, 0))
     up_formula = _compose(1, 1, grafts=[xy, xy, yx])

@@ -20,9 +20,13 @@ Variables are declared implicitly on first use.  An arity past
 
 ``z_exact`` answers by bucket elimination at any size whose plan is predicted
 to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
-before building any table past it.  ``near_assignment_total`` refuses
-instances of more than ``NEAR_CAP`` variables.  Both constants are read at
-call time.  Tables are scaled, summed and mapped in ``funcs`` alone.
+before building any table past it.  ``_plan`` picks the plan by predicted
+cost, products plus ``_STEP`` per kernel call, from one whole-table step and
+the per-variable plans of ``_elimination_plan`` along greedy min-degree and
+min-fill orders; every step runs in the one kernel ``_int_sum_product``.
+``near_assignment_total`` refuses instances of more than ``NEAR_CAP``
+variables.  Both constants are read at call time.  Tables are scaled, summed
+and mapped in ``funcs`` alone.
 """
 
 from __future__ import annotations
@@ -70,13 +74,25 @@ __all__ = [
 Table = Union[PBFunction, SignedTable]
 _T = TypeVar("_T")
 
-# z_exact's bound on the products its elimination plan predicts, a time guard:
-# at 0.06-0.2 us per product on tables of small ints and 0.3-0.55 us on the
-# long ints of tables with denominators (2 cores, Python 3.11, a shared host;
-# cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  A step
-# costs at least twice its table's size, so no table holds more than
-# ELIMINATION_BUDGET / 2 entries.
+# z_exact's bound on the products of the plan it keeps, a time guard: at
+# 0.06-0.2 us per product on tables of small ints and 0.3-0.55 us on the long
+# ints of tables with denominators (2 cores, Python 3.11, a shared host;
+# cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  It counts
+# products only, not _STEP.  A per-variable step costs at least twice its
+# table's size and a whole-table step returns one entry, so no table holds
+# more than ELIMINATION_BUDGET / 2 entries.
 ELIMINATION_BUDGET = 1 << 22
+# The fixed cost of a kernel call, in products, that z_exact charges each step
+# when it compares plans.  Measured on the same host: a step of one variable
+# costs about 14-18 us (planning, indexing, the kernel call) and a product in
+# a whole-table step 0.07-0.12 us, so a step is worth 120-250 products.  On
+# rings of 5-9 constraints the whole-table step is faster up to 6 variables,
+# even at 7 and slower from 8; 128 picks accordingly.
+_STEP = 128
+# _elimination_plan plans min-fill only past this many min-degree products: a
+# plan that small runs in a few ms, so min-fill could save little there, and
+# small instances pay for one greedy order, not two.
+_FILL_FROM = 1 << 16
 NEAR_CAP = 12
 # Conversion certificates are computed by z_exact only up to this size.
 _CERT_CAP = 12
@@ -300,21 +316,72 @@ def serialize(inst: CspInstance) -> str:
 # Exact evaluation
 
 
-def _elimination_plan(
-    n: int, scopes: Sequence[Sequence[int]], budget: int
-) -> list[tuple[int, list[int], list[int]]]:
-    """Bucket-elimination plan along a greedy min-degree order of the primal graph.
+def _join_counting(adj: list[set[int]], inner: list[int], v: int, nbrs: set[int]) -> set[int]:
+    """Join v's neighbours and remove v, keeping ``inner``, the edges among each
+    variable's neighbours, up to date edge by edge; returns the variables whose
+    count changed."""
+    touched = set(nbrs)
+    for a in nbrs:
+        for b in nbrs - adj[a]:
+            if b > a:
+                # The edge a-b joins the neighbours of every common neighbour c,
+                # and adds the edges b-c to a's count and a-c to b's.
+                common = adj[a] & adj[b]
+                for c in common:
+                    inner[c] += 1
+                touched |= common
+                inner[a] += len(common)
+                inner[b] += len(common)
+                adj[a].add(b)
+                adj[b].add(a)
+    # v's neighbours are now joined, so each loses v's edges to the other len(nbrs) - 1.
+    for u in nbrs:
+        adj[u].discard(v)
+        inner[u] -= len(nbrs) - 1
+    return touched
+
+
+def _has_core(adj: list[set[int]], k: int) -> bool:
+    """Whether some subgraph has every degree at least k.
+
+    Peels every variable of fewer than k neighbours left, one at a time.  The
+    first variable of such a subgraph that any order eliminates still has its
+    k neighbours there, so every order has a step of width at least k.
+    """
+    degree = [len(nbrs) for nbrs in adj]
+    peeled = [d < k for d in degree]
+    stack = [v for v, out in enumerate(peeled) if out]
+    while stack:
+        for u in adj[stack.pop()]:
+            degree[u] -= 1
+            if not peeled[u] and degree[u] < k:
+                peeled[u] = True
+                stack.append(u)
+    return not all(peeled)
+
+
+def _greedy_plan(
+    n: int, scopes: Sequence[Sequence[int]], limit: int, by_fill: bool
+) -> tuple[int, int, Optional[list[tuple[int, list[int], list[int]]]]]:
+    """(products, width of the last step, steps) of bucket elimination along a greedy order.
 
     The primal graph joins every two distinct variables that share a scope.
-    Each step eliminates a variable v with the fewest neighbours (ties: lower
-    index) and joins those neighbours; heap entries whose degree has since
-    changed are skipped.  Atoms are the scopes, then one message per step.
-    Each atom goes to the bucket of its first eliminated variable; v's message
-    spans its neighbours, which are exactly its bucket's other variables.
+    Each step eliminates a variable v of least key (ties: lower index) and
+    joins its neighbours; heap entries whose key has since changed are
+    skipped.  The key is v's degree (min-degree), or by_fill the pairs of its
+    neighbours not yet joined, ties broken by degree (min-fill).  Those pairs
+    are all pairs less ``inner[v]``, the edges among v's neighbours, which
+    ``_join_counting`` updates edge by edge, never recounting a hub's pairs of
+    neighbours.  Atoms are the scopes, then one message per step.  Each atom
+    goes to the bucket of its first eliminated variable; v's message spans its
+    neighbours, which are exactly its bucket's other variables.
 
-    Returns (v, bucket atom indices, message variables) per step.  A bucket of
-    a atoms and w free variables takes a * 2**(w + 1) products; past ``budget``
-    in total this raises CapacityError, before any table is built.
+    A step is (v, bucket atom indices, message variables); a bucket of a atoms
+    and w free variables takes a * 2**(w + 1) products.  Once the products
+    pass ``limit`` the steps are dropped: they come back as None, with the
+    products counted up to that step and its width, or for min-fill on a
+    graph with too wide a core (``_has_core``), the least products and the
+    width of that core's first step.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     pending: list[list[int]] = [[] for _ in range(n)]
@@ -325,54 +392,129 @@ def _elimination_plan(
             pending[v].append(atom)
     for v in range(n):
         adj[v].discard(v)
-    placed: set[int] = set()
-    heap = [(len(adj[v]), v) for v in range(n)]
+    # Counting the edges among each variable's neighbours takes about the edges
+    # times the widest core's width, which on a dense graph is cubic in its
+    # size.  A step of width core takes at least 2**(core + 1) > limit products,
+    # so a subgraph of that least degree rules out every order first.
+    core = limit.bit_length() - 1
+    if by_fill and _has_core(adj, core):
+        return 2 << core, core, None
+    inner = [sum(len(nbrs & adj[u]) for u in nbrs) // 2 for nbrs in adj] if by_fill else []
+    # keys[v] is v's current key; a heap entry with another key is stale.
+    keys = [len(nbrs) for nbrs in adj]
+    if by_fill:
+        keys = [(d * (d - 1) // 2 - e) * n + d for d, e in zip(keys, inner)]
+    heap = list(zip(keys, range(n)))
     heapq.heapify(heap)
     done = [False] * n
-    plan: list[tuple[int, list[int], list[int]]] = []
-    cost = 0
+    placed: set[int] = set()
+    steps: list[tuple[int, list[int], list[int]]] = []
+    products = width = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        if done[v] or d != len(adj[v]):
+        k, v = heapq.heappop(heap)
+        if done[v] or k != keys[v]:
             continue
         done[v] = True
         bucket = [atom for atom in pending[v] if atom not in placed]
         placed.update(bucket)
-        cost += len(bucket) << (d + 1)
-        if cost > budget:
-            raise CapacityError(f"elimination needs {cost}+ products (width {d}), past {budget}")
-        message = len(scopes) + len(plan)
         nbrs, adj[v] = adj[v], set()
+        width = len(nbrs)
+        products += len(bucket) << (width + 1)
+        if products > limit:
+            return products, width, None
+        if by_fill:
+            touched = _join_counting(adj, inner, v, nbrs)
+        else:
+            touched = nbrs
+            for w in nbrs:
+                adj[w] |= nbrs
+                adj[w] -= {v, w}
+        for w in touched:
+            if not done[w]:
+                d = len(adj[w])
+                keys[w] = (d * (d - 1) // 2 - inner[w]) * n + d if by_fill else d
+                heapq.heappush(heap, (keys[w], w))
+        message = len(scopes) + len(steps)
         for w in nbrs:
-            adj[w] |= nbrs
-            adj[w] -= {v, w}
             pending[w].append(message)
-            heapq.heappush(heap, (len(adj[w]), w))
-        plan.append((v, bucket, list(nbrs)))
-    return plan
+        steps.append((v, bucket, list(nbrs)))
+    return products, width, steps
+
+
+def _elimination_plan(
+    n: int, scopes: Sequence[Sequence[int]], budget: int
+) -> list[tuple[int, list[int], list[int]]]:
+    """The per-variable plan, greedy min-degree or min-fill, with fewer predicted products.
+
+    Min-fill is planned only when min-degree predicts more than ``_FILL_FROM``
+    products; it stops once it passes min-degree's count, and a tie keeps
+    min-degree.  Past ``budget`` on both this raises CapacityError, before any
+    table is built, naming the one with fewer products counted when it
+    stopped.
+    """
+    name = "min-degree"
+    products, width, steps = _greedy_plan(n, scopes, budget, False)
+    if products > _FILL_FROM:
+        fill = _greedy_plan(n, scopes, min(products - 1, budget), True)
+        if fill[2] is not None or steps is None and fill[0] < products:
+            name, (products, width, steps) = "min-fill", fill
+    if steps is None:
+        raise CapacityError(f"elimination needs {products}+ products ({name}, width {width}), past {budget}")
+    return steps
+
+
+def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], list[int], list[int]]]:
+    """z_exact's plan as (bound variables, bucket atom indices, free variables) per step.
+
+    Each of the n variables is in some scope.  The candidates are one step
+    that sums all m atoms of nonempty scope over the n variables, at m * 2**n
+    products, and ``_elimination_plan``'s one step per variable.  Each is
+    charged its products plus ``_STEP`` per kernel call, and the cheaper
+    within ``ELIMINATION_BUDGET`` is kept, the single step on a tie.  The
+    single step is taken without planning the other when its products are at
+    most ``_STEP * n``, the fixed cost alone of the n calls of any
+    per-variable plan.
+    """
+    bucket = [atom for atom, scope in enumerate(scopes) if scope]
+    single = [(range(n), bucket, [])]
+    products = len(bucket) << n
+    if products <= min(ELIMINATION_BUDGET, _STEP * n):
+        return single
+    charge = products + _STEP if products <= ELIMINATION_BUDGET else math.inf
+    try:
+        steps = _elimination_plan(n, scopes, ELIMINATION_BUDGET)
+    except CapacityError:
+        if charge == math.inf:
+            raise
+        return single
+    if charge <= sum([len(b) << (len(f) + 1) for _, b, f in steps]) + _STEP * n:
+        return single
+    return [((v,), b, f) for v, b, f in steps]
 
 
 def z_exact(inst: CspInstance) -> Fraction:
-    """Partition function by bucket elimination along ``_elimination_plan``.
+    """Partition function by bucket elimination along ``_plan``.
 
     Exact, signed registries allowed.  A plan predicted to take more than
     ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
-    built.  ``_integer_atoms`` scales each used table to ints once, the
-    messages stay ints, and the one Fraction is the total over its denominator.
+    built.  Only variables in some scope are planned, in ``inst.variables``
+    order; each other variable doubles the total.  ``_integer_atoms`` scales
+    each used table to ints once, the messages stay ints, and the one Fraction
+    is the total over its denominator.
     """
-    index = {v: i for i, v in enumerate(inst.variables)}
+    used = {v for scope, _ in inst.constraints for v in scope}
+    index = {v: i for i, v in enumerate([v for v in inst.variables if v in used])}
     names = inst.registry_map()
     atoms, denominator = _integer_atoms(
         (names[name].table, [index[v] for v in scope]) for scope, name in inst.constraints
     )
-    plan = _elimination_plan(len(inst.variables), [scope for _, scope in atoms], ELIMINATION_BUDGET)
-    total = math.prod(table[0] for table, scope in atoms if not scope)
-    for v, bucket, free in plan:
-        # The bucket's product summed over v: free variables first, v bound.
-        local = {u: i for i, u in enumerate(free)}
-        local[v] = len(free)
+    plan = _plan(len(index), [scope for _, scope in atoms])
+    total = math.prod(table[0] for table, scope in atoms if not scope) << (len(inst.variables) - len(index))
+    for bound, bucket, free in plan:
+        # The bucket's product summed over the bound variables, free variables first.
+        local = {u: i for i, u in enumerate([*free, *bound])}
         bucket_atoms = [(atoms[a][0], [local[u] for u in atoms[a][1]]) for a in bucket]
-        table = _int_sum_product(len(free), len(free) + 1, bucket_atoms)
+        table = _int_sum_product(len(free), len(local), bucket_atoms)
         atoms.append((table, free))
         if not free:
             total *= table[0]
@@ -627,8 +769,11 @@ def holographic_transform(inst: HolantInstance, matrix: Sequence[Sequence[Ration
     Requires matrix * matrix^T to be a nonzero scalar multiple of the
     identity; the partition function then changes by scalar**n for an
     n-variable instance.  Entries are read as ``frac`` reads them, so floats
-    are refused.
+    are refused, and a matrix that is not 2 rows of 2 entries raises
+    InstanceError.
     """
+    if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
+        raise InstanceError("the matrix must be 2 rows of 2 entries")
     m = SignedTable.from_values(2, [matrix[i][j] for i in range(2) for j in range(2)])
     a, b, c, d = m.table
     scalar = a * a + b * b

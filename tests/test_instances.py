@@ -6,6 +6,8 @@ import hashlib
 import math
 import random
 import re
+import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -331,29 +333,29 @@ def _grid(fn: PBFunction, rows: int, cols: int) -> CspInstance:
 
 
 def _grid_z_by_transfer_matrix(fn: PBFunction, rows: int, cols: int) -> Fraction:
-    """Z of ``_grid`` column by column over the 2**rows states of a column, in Fractions.
+    """Z of ``_grid`` column by column over the 2**rows states of a column.
 
-    Bit i of a state is row i.  A column's own weight is the product of its
-    vertical constraints; the step to the next column applies the horizontal
-    constraint of one row at a time.
+    The table is scaled to ints by the lcm of its denominators, so the sums
+    run on ints, and Z is their total over the scale to the power of the
+    number of constraints.  Bit i of a state is row i.  A column's own weight
+    is the product of its vertical constraints; the step to the next column
+    applies the horizontal constraint of one row at a time.
     """
-    f = fn.table
+    scale = math.lcm(*(v.denominator for v in fn.table))
+    f = [int(v * scale) for v in fn.table]
     states = range(1 << rows)
 
     def bit(s: int, i: int) -> int:
         return (s >> i) & 1
 
-    column = [
-        math.prod((f[2 * bit(s, i) + bit(s, i + 1)] for i in range(rows - 1)), start=Fraction(1))
-        for s in states
-    ]
+    column = [math.prod(f[2 * bit(s, i) + bit(s, i + 1)] for i in range(rows - 1)) for s in states]
     weights = column
     for _ in range(cols - 1):
         for i in range(rows):
             m = 1 << i
             weights = [weights[s & ~m] * f[bit(s, i)] + weights[s | m] * f[2 + bit(s, i)] for s in states]
         weights = [w * c for w, c in zip(weights, column)]
-    return sum(weights)
+    return Fraction(sum(weights), scale ** ((rows - 1) * cols + rows * (cols - 1)))
 
 
 def test_z_exact_grids_match_a_transfer_matrix():
@@ -413,6 +415,145 @@ def test_min_degree_width_on_rings_and_paths(n):
         plan = _elimination_plan(n, scopes, 1 << 60)
         assert sorted(v for v, _, _ in plan) == list(range(n))
         assert max(len(free) for _, _, free in plan) == min(width, n - 1)
+
+
+def _kernel_calls(monkeypatch) -> list[int]:
+    """Patch the kernel z_exact calls to record each call's n_vars; returns the record."""
+    kernel = instances._int_sum_product
+    calls: list[int] = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(instances, "_int_sum_product", counted)
+    return calls
+
+
+def test_z_exact_matches_brute_force_on_both_plans(monkeypatch):
+    """Seeded instances on both sides of the single-step rule: m atoms over n used
+    variables take one kernel call over all n when m * 2**n <= _STEP * n, and
+    otherwise the cheaper of that call and one call per variable.  Signed
+    tables, repeated scope variables, unused variables, nullary tables and
+    zero variables are all covered."""
+    calls = _kernel_calls(monkeypatch)
+    rng = random.Random(2020)
+    sides = {True: 0, False: 0}
+    per_variable = 0
+    for i in range(160):
+        # Every other instance is drawn past the rule, most of the rest within it.
+        n_vars = (rng.randint(7, 9) if i % 2 else rng.randint(1, 6)) if i % 20 else 0
+        low, high = (0 if i % 4 == 0 else 1, 3) if n_vars else (0, 0)
+        funcs = [_rand_signed_function(rng, rng.randint(low, high)) for _ in range(rng.randint(1, 3))]
+        inst = rand_csp_instance(rng, funcs, n_vars, rng.randint(5, 12) if i % 2 else rng.randint(0, 8))
+        del calls[:]
+        assert z_exact(inst) == brute_force_z(inst)
+        n = len({v for scope, _ in inst.constraints for v in scope})
+        rule = sum(1 for scope, _ in inst.constraints if scope) << n <= instances._STEP * n
+        assert calls == [n] if rule else (calls == [n] or len(calls) == n)
+        sides[rule] += 1
+        per_variable += len(calls) > 1
+    assert sides[True] > 30 and sides[False] > 30 and per_variable > 20
+
+
+def test_z_exact_sums_a_small_instance_in_one_kernel_call(monkeypatch):
+    """Instances the size of C06's exact-path ones take one whole-table kernel
+    call over their used variables; an unused variable doubles the total."""
+    calls = _kernel_calls(monkeypatch)
+    f = binary(2, 1, 1, 2)
+    six = [f"v{i}" for i in range(6)]
+    one = CspInstance.build({"f0": f}, [(("v0", "v3"), "f0")], variables=six)
+    assert z_exact(one) == brute_force_z(one) == 6 * 2**4
+    assert calls == [2]
+    del calls[:]
+    seven = [f"v{i}" for i in range(7)]
+    four = CspInstance.build(
+        {"f0": f}, [(("v0", "v3"), "f0"), (("v3", "v5"), "f0"), (("v1", "v2"), "f0"), (("v2", "v6"), "f0")],
+        variables=seven,
+    )
+    assert z_exact(four) == brute_force_z(four)
+    assert calls == [6]
+
+
+def _assert_within(seconds: float, run):
+    start = time.perf_counter()
+    out = run()
+    assert time.perf_counter() - start <= seconds
+    return out
+
+
+@pytest.mark.parametrize("rows, cols", [(10, 30), (13, 13)])
+def test_z_exact_grids_past_min_degree_match_a_transfer_matrix(rows, cols):
+    """Under inferred variables min-degree predicts 6.90 M and 4.23 M products
+    for these grids, past the budget, and min-fill 1.17 M and 2.05 M.  Listed
+    column by column from the far corner, the grids fit either way."""
+    f = binary(2, 1, 1, 2)
+    grid = _grid(f, rows, cols)
+    want = _grid_z_by_transfer_matrix(f, rows, cols)
+    assert _assert_within(5, lambda: z_exact(grid)) == want
+    by_column = sorted(grid.variables, key=lambda v: tuple(reversed(v[1:].split("_"))), reverse=True)
+    regrid = CspInstance.build(grid.registry, grid.constraints, variables=by_column)
+    assert regrid.variables != grid.variables
+    assert _assert_within(5, lambda: z_exact(regrid)) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_z_exact_on_a_3_regular_graph_under_two_namings(seed):
+    """The seeded 3-regular graph on 100 vertices, indexed by vertex number and
+    in first-use order: min-degree alone passes the budget under one of the two."""
+    import networkx as nx
+
+    f = binary(2, 1, 1, 2)
+    edges = [((f"v{a}", f"v{b}"), "f") for a, b in nx.random_regular_graph(3, 100, seed=seed).edges()]
+    by_number = CspInstance.build({"f": f}, edges, variables=[f"v{i}" for i in range(100)])
+    by_use = CspInstance.build({"f": f}, edges)
+    assert by_use.variables != by_number.variables
+    assert _assert_within(5, lambda: z_exact(by_number)) == _assert_within(5, lambda: z_exact(by_use))
+
+
+@pytest.mark.parametrize("shape", ["ring", "star"])
+def test_planning_a_long_ring_and_a_wide_star_is_fast(shape):
+    """z_exact plans a 4000-ring and a 4001-vertex star in at most 50 ms each (best of 3)."""
+    if shape == "ring":
+        n, scopes = 4000, [(i, (i + 1) % 4000) for i in range(4000)]
+    else:
+        n, scopes = 4001, [(0, i) for i in range(1, 4001)]
+    best = min(timeit.repeat(lambda: instances._plan(n, scopes), number=1, repeat=3))
+    assert best <= 0.05
+
+
+def test_min_fill_stops_on_a_core_too_wide_for_the_budget():
+    """A subgraph whose every degree is at least 22 puts a step of 2**23+ products
+    in every order, so min-fill stops before counting edges among neighbours,
+    a count cubic in a clique's size.  A pendant path does not hide the core."""
+    k40 = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    path = [(i, i + 1) for i in range(39, 59)]
+    assert instances._greedy_plan(60, k40 + path, 1 << 22, True) == (1 << 23, 22, None)
+    adj = [set() for _ in range(60)]
+    for a, b in k40 + path:
+        adj[a].add(b)
+        adj[b].add(a)
+    assert instances._has_core(adj, 39) and not instances._has_core(adj, 40)
+    ring = [{(i - 1) % 9, (i + 1) % 9} for i in range(9)]
+    assert instances._has_core(ring, 2) and not instances._has_core(ring, 3)
+    with pytest.raises(CapacityError, match="products"):
+        z_exact(clique_instance(EQ, 300))
+
+
+def test_z_exact_on_a_grid_with_a_hub_of_many_leaves():
+    """The 10x30 grid with a hub joined to every vertex and 4000 leaves on the hub
+    ends within 2 s.  Min-degree predicts 22.1 M products for it, so the answer
+    comes from min-fill (3.69 M).  Each hub value puts a unary on every grid
+    vertex and gives every leaf 3 choices, and the two values weigh the same."""
+    f = binary(2, 1, 1, 2)
+    grid = _grid(f, 10, 30)
+    hub = list(grid.constraints)
+    hub += [(("hub", v), "f") for v in grid.variables] + [(("hub", f"leaf{i}"), "f") for i in range(4000)]
+    z = _assert_within(2, lambda: z_exact(CspInstance.build({"f": f}, hub)))
+    field = CspInstance.build(
+        {"f": f, "u": unary(2, 1)}, list(grid.constraints) + [((v,), "u") for v in grid.variables]
+    )
+    assert z == 2 * 3**4000 * z_exact(field)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +861,14 @@ def test_holographic_transform_rejects_non_orthogonal():
     prism = _checked(parse(PRISM_TEXT), HolantInstance)
     for bad in ([[1, 1], [0, 1]], [[1, 0], [0, 2]], [[0, 0], [0, 0]]):
         with pytest.raises(InstanceError, match="scalar identity"):
+            holographic_transform(prism, bad)
+
+
+def test_holographic_transform_rejects_matrices_not_2_by_2():
+    """A 3x3 matrix whose top-left block is the identity, and a short row, are refused by shape."""
+    prism = _checked(parse(PRISM_TEXT), HolantInstance)
+    for bad in ([[1, 0, 5], [0, 1, 7], [9, 9, 9]], [[1], [0, 1]]):
+        with pytest.raises(InstanceError, match="2 rows of 2 entries"):
             holographic_transform(prism, bad)
 
 
