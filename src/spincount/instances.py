@@ -463,8 +463,12 @@ def _elimination_plan(
     return steps
 
 
-def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], list[int], list[int]]]:
-    """z_exact's plan as (bound variables, bucket atom indices, free variables) per step.
+def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[tuple[int, Sequence[int]]]]]:
+    """z_exact's plan: one kernel call per step, as (free count, variable count, bucket).
+
+    A step's variables are its free ones, then the ones it sums out.  Its
+    bucket lists (atom, scope over the step's variables) pairs, where atoms
+    are the scopes, then each step's message over its free variables.
 
     Each of the n variables is in some scope.  The candidates are one step
     that sums all m atoms of nonempty scope over the n variables, at m * 2**n
@@ -475,9 +479,9 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], 
     most ``_STEP * n``, the fixed cost alone of the n calls of any
     per-variable plan.
     """
-    bucket = [atom for atom, scope in enumerate(scopes) if scope]
-    single = [(range(n), bucket, [])]
-    products = len(bucket) << n
+    # The single step's variables are 0..n-1 in order, so its atoms keep their scopes.
+    single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
+    products = len(single[0][2]) << n
     if products <= min(ELIMINATION_BUDGET, _STEP * n):
         return single
     charge = products + _STEP if products <= ELIMINATION_BUDGET else math.inf
@@ -489,7 +493,14 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[Sequence[int], 
         return single
     if charge <= sum([len(b) << (len(f) + 1) for _, b, f in steps]) + _STEP * n:
         return single
-    return [((v,), b, f) for v, b, f in steps]
+    scopes = list(scopes)
+    plan = []
+    for v, bucket, free in steps:
+        local = {u: i for i, u in enumerate(free)}
+        local[v] = len(free)
+        plan.append((len(free), len(free) + 1, [(a, [local[u] for u in scopes[a]]) for a in bucket]))
+        scopes.append(free)
+    return plan
 
 
 def z_exact(inst: CspInstance) -> Fraction:
@@ -508,15 +519,12 @@ def z_exact(inst: CspInstance) -> Fraction:
     atoms, denominator = _integer_atoms(
         (names[name].table, [index[v] for v in scope]) for scope, name in inst.constraints
     )
-    plan = _plan(len(index), [scope for _, scope in atoms])
     total = math.prod(table[0] for table, scope in atoms if not scope) << (len(inst.variables) - len(index))
-    for bound, bucket, free in plan:
-        # The bucket's product summed over the bound variables, free variables first.
-        local = {u: i for i, u in enumerate([*free, *bound])}
-        bucket_atoms = [(atoms[a][0], [local[u] for u in atoms[a][1]]) for a in bucket]
-        table = _int_sum_product(len(free), len(local), bucket_atoms)
-        atoms.append((table, free))
-        if not free:
+    tables = [table for table, _ in atoms]
+    for n_free, n_vars, bucket in _plan(len(index), [scope for _, scope in atoms]):
+        table = _int_sum_product(n_free, n_vars, [(tables[a], scope) for a, scope in bucket])
+        tables.append(table)
+        if not n_free:
             total *= table[0]
     return Fraction(total, denominator)
 
