@@ -456,6 +456,25 @@ def test_z_exact_matches_brute_force_on_both_plans(monkeypatch):
     assert sides[True] > 30 and sides[False] > 30 and per_variable > 20
 
 
+def test_min_fill_plans_match_brute_force(monkeypatch):
+    """z_exact along min-fill orders only, with no charge per kernel call so
+    that most instances take the per-variable plan: signed tables, repeated
+    scope variables and unused variables against brute force."""
+    greedy = instances._greedy_plan
+    monkeypatch.setattr(instances, "_greedy_plan", lambda n, scopes, limit, by_fill: greedy(n, scopes, limit, True))
+    monkeypatch.setattr(instances, "_STEP", 0)
+    calls = _kernel_calls(monkeypatch)
+    rng = random.Random(2121)
+    per_variable = 0
+    for _ in range(120):
+        funcs = [_rand_signed_function(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        inst = rand_csp_instance(rng, funcs, rng.randint(4, 9), rng.randint(4, 12))
+        del calls[:]
+        assert z_exact(inst) == brute_force_z(inst)
+        per_variable += len(calls) > 1
+    assert per_variable > 80
+
+
 def test_z_exact_sums_a_small_instance_in_one_kernel_call(monkeypatch):
     """Instances the size of C06's exact-path ones take one whole-table kernel
     call over their used variables; an unused variable doubles the total."""
