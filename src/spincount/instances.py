@@ -22,8 +22,9 @@ Variables are declared implicitly on first use.  An arity past
 to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
 before building any table past it.  ``_plan`` picks the plan by predicted
 cost, products plus ``_STEP`` per kernel call, from one whole-table step and
-the per-variable plans of ``_elimination_plan`` along greedy min-degree and
-min-fill orders; every step runs in the one kernel ``_int_sum_product``.
+the per-variable plans that ``_greedy_plan`` builds, as kernel calls, along
+greedy min-degree and min-fill orders; every step runs in the one kernel
+``_int_sum_product``.
 ``near_assignment_total`` refuses instances of more than ``NEAR_CAP``
 variables.  Both constants are read at call time.  Tables are scaled, summed
 and mapped in ``funcs`` alone.
@@ -89,9 +90,10 @@ ELIMINATION_BUDGET = 1 << 22
 # rings of 5-9 constraints the whole-table step is faster up to 6 variables,
 # even at 7 and slower from 8; 128 picks accordingly.
 _STEP = 128
-# _elimination_plan plans min-fill only past this many min-degree products: a
-# plan that small runs in a few ms, so min-fill could save little there, and
-# small instances pay for one greedy order, not two.
+# _plan plans min-fill only past this many min-degree products.  Planning it on
+# every per-variable instance raised z_exact from 17.0 to 24.8 ms over 36 CSPs
+# of 11-13 variables drawn as the benchmark's exact workload draws them (+46%,
+# medians of 15 interleaved rounds on the same host).
 _FILL_FROM = 1 << 16
 NEAR_CAP = 12
 # Conversion certificates are computed by z_exact only up to this size.
@@ -362,8 +364,8 @@ def _has_core(adj: list[set[int]], k: int) -> bool:
 
 def _greedy_plan(
     n: int, scopes: Sequence[Sequence[int]], limit: int, by_fill: bool
-) -> tuple[int, int, Optional[list[tuple[int, list[int], list[int]]]]]:
-    """(products, width of the last step, steps) of bucket elimination along a greedy order.
+) -> tuple[int, int, Optional[list[tuple[int, int, list[tuple[int, list[int]]]]]]]:
+    """(products, width of the last step, plan) of bucket elimination along a greedy order.
 
     The primal graph joins every two distinct variables that share a scope.
     Each step eliminates a variable v of least key (ties: lower index) and
@@ -376,9 +378,9 @@ def _greedy_plan(
     goes to the bucket of its first eliminated variable; v's message spans its
     neighbours, which are exactly its bucket's other variables.
 
-    A step is (v, bucket atom indices, message variables); a bucket of a atoms
-    and w free variables takes a * 2**(w + 1) products.  Once the products
-    pass ``limit`` the steps are dropped: they come back as None, with the
+    A step is v's kernel call in ``_plan``'s form, over v's w neighbours then
+    v; a bucket of a atoms takes a * 2**(w + 1) products.  Once the products
+    pass ``limit`` the plan is dropped: it comes back as None, with the
     products counted up to that step and its width, or for min-fill on a
     graph with too wide a core (``_has_core``), the least products and the
     width of that core's first step.
@@ -408,7 +410,10 @@ def _greedy_plan(
     heapq.heapify(heap)
     done = [False] * n
     placed: set[int] = set()
-    steps: list[tuple[int, list[int], list[int]]] = []
+    # local[u] is u's place in the step being built, whose bucket's scopes hold v and its neighbours only.
+    local = [0] * n
+    scopes = list(scopes)
+    plan: list[tuple[int, int, list[tuple[int, list[int]]]]] = []
     products = width = 0
     while heap:
         k, v = heapq.heappop(heap)
@@ -434,33 +439,14 @@ def _greedy_plan(
                 d = len(adj[w])
                 keys[w] = (d * (d - 1) // 2 - inner[w]) * n + d if by_fill else d
                 heapq.heappush(heap, (keys[w], w))
-        message = len(scopes) + len(steps)
-        for w in nbrs:
-            pending[w].append(message)
-        steps.append((v, bucket, list(nbrs)))
-    return products, width, steps
-
-
-def _elimination_plan(
-    n: int, scopes: Sequence[Sequence[int]], budget: int
-) -> list[tuple[int, list[int], list[int]]]:
-    """The per-variable plan, greedy min-degree or min-fill, with fewer predicted products.
-
-    Min-fill is planned only when min-degree predicts more than ``_FILL_FROM``
-    products; it stops once it passes min-degree's count, and a tie keeps
-    min-degree.  Past ``budget`` on both this raises CapacityError, before any
-    table is built, naming the one with fewer products counted when it
-    stopped.
-    """
-    name = "min-degree"
-    products, width, steps = _greedy_plan(n, scopes, budget, False)
-    if products > _FILL_FROM:
-        fill = _greedy_plan(n, scopes, min(products - 1, budget), True)
-        if fill[2] is not None or steps is None and fill[0] < products:
-            name, (products, width, steps) = "min-fill", fill
-    if steps is None:
-        raise CapacityError(f"elimination needs {products}+ products ({name}, width {width}), past {budget}")
-    return steps
+        free = list(nbrs)
+        for i, u in enumerate(free):
+            local[u] = i
+            pending[u].append(len(scopes))
+        local[v] = width
+        plan.append((width, width + 1, [(atom, [local[u] for u in scopes[atom]]) for atom in bucket]))
+        scopes.append(free)
+    return products, width, plan
 
 
 def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[tuple[int, Sequence[int]]]]]:
@@ -472,35 +458,31 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[
 
     Each of the n variables is in some scope.  The candidates are one step
     that sums all m atoms of nonempty scope over the n variables, at m * 2**n
-    products, and ``_elimination_plan``'s one step per variable.  Each is
-    charged its products plus ``_STEP`` per kernel call, and the cheaper
-    within ``ELIMINATION_BUDGET`` is kept, the single step on a tie.  The
-    single step is taken without planning the other when its products are at
-    most ``_STEP * n``, the fixed cost alone of the n calls of any
-    per-variable plan.
+    products, then ``_greedy_plan``'s min-degree plan and, past ``_FILL_FROM``
+    min-degree products, its min-fill plan up to one product fewer.  Each is
+    charged its products plus ``_STEP`` per kernel call, and the cheapest
+    within ``ELIMINATION_BUDGET`` is kept, the earlier on a tie.  The single
+    step is taken without planning the others when its products are at most
+    ``_STEP * n``, the fixed cost alone of the n calls of any per-variable
+    plan.  With none within the budget this raises CapacityError, before any
+    table is built, naming the order that had counted fewer products.
     """
+    budget = ELIMINATION_BUDGET
     # The single step's variables are 0..n-1 in order, so its atoms keep their scopes.
     single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
     products = len(single[0][2]) << n
-    if products <= min(ELIMINATION_BUDGET, _STEP * n):
+    if products <= min(budget, _STEP * n):
         return single
-    charge = products + _STEP if products <= ELIMINATION_BUDGET else math.inf
-    try:
-        steps = _elimination_plan(n, scopes, ELIMINATION_BUDGET)
-    except CapacityError:
-        if charge == math.inf:
-            raise
-        return single
-    if charge <= sum([len(b) << (len(f) + 1) for _, b, f in steps]) + _STEP * n:
-        return single
-    scopes = list(scopes)
-    plan = []
-    for v, bucket, free in steps:
-        local = {u: i for i, u in enumerate(free)}
-        local[v] = len(free)
-        plan.append((len(free), len(free) + 1, [(a, [local[u] for u in scopes[a]]) for a in bucket]))
-        scopes.append(free)
-    return plan
+    degree = _greedy_plan(n, scopes, budget, False)
+    orders = [("min-degree", degree)]
+    if degree[0] > _FILL_FROM:
+        orders.append(("min-fill", _greedy_plan(n, scopes, min(degree[0] - 1, budget), True)))
+    plans = [(products + _STEP, single)] if products <= budget else []
+    plans += [(count + _STEP * len(plan), plan) for _, (count, _, plan) in orders if plan is not None]
+    if not plans:
+        name, (count, width, _) = min(orders, key=lambda order: order[1][0])
+        raise CapacityError(f"elimination needs {count}+ products ({name}, width {width}), past {budget}")
+    return min(plans, key=lambda charged: charged[0])[1]
 
 
 def z_exact(inst: CspInstance) -> Fraction:

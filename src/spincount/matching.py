@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .funcs import (
     XOR3,
@@ -542,28 +542,28 @@ def _maximum_matching(n: int, bundles: dict[tuple[int, int], Fraction]) -> Optio
     return arr
 
 
-def _graph_from_bundles(names: Sequence[str], bundles: dict[tuple[int, int], Fraction]) -> WeightedMultigraph:
+def _graph_from_bundles(n: int, bundles: dict[tuple[int, int], Fraction]) -> WeightedMultigraph:
+    names = tuple(f"v{i}" for i in range(n))
     edges = tuple(Edge(names[a], names[b], w, "plain") for (a, b), w in sorted(bundles.items()))
-    return WeightedMultigraph(tuple(names), edges)
+    return WeightedMultigraph(names, edges)
 
 
 def _condition_level(
-    names: list[str],
+    n: int,
     bundles: dict[tuple[int, int], Fraction],
     d: int,
     start: list[int],
     cfg: EstimatorConfig,
     level: int,
     levels_total: int,
-) -> tuple[Fraction, list[str], dict[tuple[int, int], Fraction], list[int]]:
+) -> tuple[Fraction, dict[tuple[int, int], Fraction], list[int]]:
     """Estimate how often perfect matchings pair vertex 0 with its likeliest partner.
 
-    Returns the telescoping factor weight/q and the graph with the conditioned
-    pair removed, warm-started from a sampled witness.  ``d`` is the source
-    graph's ``integerize`` scale, kept across levels so that every level runs
-    the same unit-copy law.
+    Returns the telescoping factor weight/q and the bundles of the n - 2
+    vertices left once the conditioned pair is removed, with a start matching
+    from a sampled witness.  ``d`` is the source graph's ``integerize`` scale,
+    kept across levels so that every level runs the same unit-copy law.
     """
-    n = len(names)
     spacing = max(1, int(_STEPS_COEFF * n * max(1.0, math.log(n))))
     eps = float(cfg.epsilon)
     confidence = max(1.0, math.log2(2.0 / float(cfg.delta)))
@@ -606,7 +606,6 @@ def _condition_level(
     factor = bundles[(0, x_star)] * Fraction(perfect, counts[x_star])
     keep = [i for i in range(n) if i not in (0, x_star)]
     remap = {old: new for new, old in enumerate(keep)}
-    names2 = [names[i] for i in keep]
     bundles2 = {
         (remap[a], remap[b]): w for (a, b), w in bundles.items() if a in remap and b in remap
     }
@@ -614,7 +613,7 @@ def _condition_level(
     start2 = [-1] * len(keep)
     for old in keep:
         start2[remap[old]] = remap[wit[old]]
-    return factor, names2, bundles2, start2
+    return factor, bundles2, start2
 
 
 def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
@@ -640,19 +639,16 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
     start = _maximum_matching(n, bundles)
     if start is None:
         return _ZERO
-    names = list(g.vertices)
     d = _denominator_lcm(g)
     levels_total = (n - cap + 1) // 2
     result = _ONE
     level = 0
     while n > cap:
-        factor, names, bundles, start = _condition_level(
-            names, bundles, d, start, cfg, level, levels_total
-        )
+        factor, bundles, start = _condition_level(n, bundles, d, start, cfg, level, levels_total)
         result *= factor
-        n = len(names)
+        n -= 2
         level += 1
-    base = _graph_from_bundles(names, bundles)
+    base = _graph_from_bundles(n, bundles)
     return result * count_pm_exact(base)
 
 
@@ -674,7 +670,7 @@ def estimate_z_fpras(f: PBFunction, inst: CspInstance, cfg: EstimatorConfig) -> 
     if f.arity != 2:
         raise InstanceError(f"pipeline needs a binary function, got arity {f.arity}")
     names = inst.registry_map()
-    for _, name in inst.constraints:
+    for name in dict.fromkeys(name for _, name in inst.constraints):
         fn = names[name]
         if isinstance(fn, SignedTable) or fn.table != f.table:
             raise InstanceError(
