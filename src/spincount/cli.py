@@ -9,6 +9,10 @@ per result with values quoted when they contain whitespace.  Results print
 in full at any length, while Python's int-string limit (4300 digits by
 default) still refuses a longer integer in any input.
 
+Each subcommand's handler imports the library functions it calls when it
+runs, so a command loads only the modules it uses, and always
+``spincount.funcs``, which reads every literal.
+
 Exit codes: 0 on success, 2 on input errors, 3 on capacity errors.
 """
 
@@ -21,36 +25,16 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .classify import classify_two_spin
 from .funcs import (
     ARITY_CAP,
     CapacityError,
     PBFunction,
     SignedTable,
-    fourier,
-    inverse_fourier,
     parse_rational,
-    property_report,
     record_value,
     table_text,
 )
-from .gadgets import (
-    GadgetError,
-    approx_pin,
-    extract_nonlsm_binary,
-    make_up_down,
-    normalize_unary,
-    pinning_analysis,
-    serialize_pps,
-    symmetrize,
-)
-from .instances import HolantInstance, InstanceError, parse, z_exact
-from .matching import (
-    EstimatorConfig,
-    build_triangle_graph,
-    estimate_z_fpras,
-    serialize_graph,
-)
+
 
 def parse_function_literal(text: str) -> Union[PBFunction, SignedTable]:
     """Read `<arity> <values...>` with arity >= 1, falling back to a bare power-of-two table."""
@@ -98,13 +82,12 @@ def _emit(record: Sequence[object], machine: bool) -> None:
             print(f"{key}: {text}")
 
 
-def _read_instance(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse(text)
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _require_function(value: Union[PBFunction, SignedTable], what: str) -> PBFunction:
@@ -118,18 +101,24 @@ def _require_function(value: Union[PBFunction, SignedTable], what: str) -> PBFun
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import classify_two_spin
+
     f = _require_function(parse_function_literal(args.fun), "classify input")
     _emit([classify_two_spin(f)], args.machine)
     return 0
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
+    from .funcs import property_report
+
     f = _require_function(parse_function_literal(args.fun), "props input")
     _emit([property_report(f)], args.machine)
     return 0
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
+    from .funcs import fourier, inverse_fourier
+
     fn = parse_function_literal(args.fun)
     if args.inverse:
         signed = fn.as_signed() if isinstance(fn, PBFunction) else fn
@@ -141,6 +130,15 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
+    from .gadgets import (
+        approx_pin,
+        extract_nonlsm_binary,
+        make_up_down,
+        normalize_unary,
+        serialize_pps,
+        symmetrize,
+    )
+
     f = _require_function(parse_function_literal(args.fun), "gadget input")
     if args.construction == "updown":
         pair = make_up_down(f)
@@ -180,6 +178,8 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_pinning(args: argparse.Namespace) -> int:
+    from .gadgets import pinning_analysis, serialize_pps
+
     family = [_require_function(parse_function_literal(text), "pinning input") for text in args.fun]
     verdict = pinning_analysis(family)
     record = [("tag", verdict.tag), ("case", verdict.case)]
@@ -206,12 +206,17 @@ def _print_z(z: Fraction, machine: bool) -> None:
 
 
 def _cmd_z_exact(args: argparse.Namespace) -> int:
-    _print_z(z_exact(_read_instance(args.file)), args.machine)
+    from .instances import parse, z_exact
+
+    _print_z(z_exact(parse(_read_text(args.file))), args.machine)
     return 0
 
 
 def _cmd_z_estimate(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.file)
+    from .instances import InstanceError, parse
+    from .matching import EstimatorConfig, estimate_z_fpras
+
+    inst = parse(_read_text(args.file))
     if not inst.constraints:
         raise InstanceError("estimator needs a single constraint function, got none")
     # The first constraint's table; estimate_z_fpras checks that every constraint holds it.
@@ -224,7 +229,9 @@ def _cmd_z_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_holant_check(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.file)
+    from .instances import HolantInstance, InstanceError, parse
+
+    inst = parse(_read_text(args.file))
     try:
         HolantInstance(inst.variables, inst.registry, inst.constraints)
         holant = True
@@ -235,7 +242,10 @@ def _cmd_holant_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_triangle_graph(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.file)
+    from .instances import HolantInstance, parse
+    from .matching import build_triangle_graph, serialize_graph
+
+    inst = parse(_read_text(args.file))
     graph = build_triangle_graph(HolantInstance(inst.variables, inst.registry, inst.constraints))
     with _any_int_digits():
         sys.stdout.write(serialize_graph(graph))
@@ -306,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, GadgetError) as exc:
+    except ValueError as exc:  # InstanceError and GadgetError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,8 +52,8 @@ from .funcs import (
 )
 
 
-class GadgetError(Exception):
-    """A gadget precondition failed or a constructed witness did not verify."""
+class GadgetError(ValueError):
+    """A gadget precondition failed or a constructed witness did not verify: an input error."""
 
 
 @dataclass(frozen=True)

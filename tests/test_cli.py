@@ -361,11 +361,39 @@ def test_unknown_subcommand_exits_two():
     assert info.value.code == 2
 
 
-def test_import_leaves_networkx_unloaded():
-    """Only the sampled estimator path needs networkx, so importing the CLI does not load it."""
-    code = "import sys, spincount.cli; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+# Each command, and the library modules it loads beyond spincount, spincount.cli
+# and spincount.funcs.  `gadgets` imports `instances` itself.
+_COMMAND_MODULES = [
+    ([], []),
+    (["classify", "--fun", "2 1 1 2"], ["classify"]),
+    (["props", "--fun", "3 1"], []),
+    (["fourier", "--fun", "2 1/3 1/5 1/7 1/11"], []),
+    (["z-exact", "ferro"], ["instances"]),
+    (["holant-check", "ferro"], ["instances"]),
+    (["z-estimate", "ferro"], ["instances", "matching"]),
+    (["triangle-graph", "prism"], ["instances", "matching"]),
+    (["gadget", "pin", "--fun", "3 1", "--eps", "1/100"], ["gadgets", "instances"]),
+    (["pinning", "--fun", "2 1"], ["gadgets", "instances"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, uses", _COMMAND_MODULES, ids=[argv[0] if argv else "import" for argv, _ in _COMMAND_MODULES]
+)
+def test_fresh_interpreter_loads_only_the_modules_a_command_uses(argv, uses, ferro_file, prism_file):
+    """A fresh interpreter loads `funcs` for the CLI and then only what the command's
+    handler calls.  Only the sampled estimator path needs networkx, so it stays unloaded."""
+    argv = [{"ferro": ferro_file, "prism": prism_file}.get(a, a) for a in argv]
+    code = (
+        "import sys, spincount, spincount.cli\n"
+        "code = spincount.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "top = ('spincount', 'networkx')\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in top), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    want = ["spincount", "spincount.cli", "spincount.funcs"] + [f"spincount.{m}" for m in uses]
+    assert out.stderr.split() == sorted(want)
 
 
 def test_z_estimate_long_ring_is_exact_without_networkx(tmp_path):
