@@ -24,7 +24,9 @@ before building any table past it.  ``_plan`` picks the plan by predicted
 cost, products plus ``_STEP`` per kernel call, from one whole-table step and
 the per-variable plans that ``_greedy_plan`` builds, as kernel calls, along
 greedy min-degree and min-fill orders; every step runs in the one kernel
-``_int_sum_product``.
+``_int_sum_product``, which sums each variable of the whole-table step out
+once no later atom reads it, and ``funcs._sum_product_count`` charges that
+step the products the kernel takes.
 ``near_assignment_total`` refuses instances of more than ``NEAR_CAP``
 variables.  Both constants are read at call time.  Tables are scaled, summed
 and mapped in ``funcs`` alone.
@@ -50,6 +52,7 @@ from .funcs import (
     _int_sum_product,
     _integer_atoms,
     _map_axes,
+    _sum_product_count,
     parse_rational,
     product_form,
     table_text,
@@ -80,15 +83,20 @@ _T = TypeVar("_T")
 # ints of tables with denominators (2 cores, Python 3.11, a shared host;
 # cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  It counts
 # products only, not _STEP.  A per-variable step costs at least twice its
-# table's size and a whole-table step returns one entry, so no table holds
-# more than ELIMINATION_BUDGET / 2 entries.
+# table's size.  The whole-table step returns one entry and keeps at most one
+# slice, 2**_SLICE_BITS entries, however early it sums its variables out.  So
+# no table holds more than ELIMINATION_BUDGET / 2 entries.
 ELIMINATION_BUDGET = 1 << 22
 # The fixed cost of a kernel call, in products, that z_exact charges each step
-# when it compares plans.  Measured on the same host: a step of one variable
-# costs about 14-18 us (planning, indexing, the kernel call) and a product in
-# a whole-table step 0.07-0.12 us, so a step is worth 120-250 products.  On
-# rings of 5-9 constraints the whole-table step is faster up to 6 variables,
-# even at 7 and slower from 8; 128 picks accordingly.
+# when it compares plans.  Measured on the same host, with the whole-table
+# step charged what the kernel takes (``_sum_product_count``, which sums each
+# variable out early): on rings of 4-11 constraints of the tables 2 1 1 2,
+# 5 1 1 3 and 7919 13 13 7907, a step of one variable costs about 11-13 us
+# (planning, indexing, the kernel call) and a product in the whole-table step
+# 0.06-0.07 us, so a step is worth 150-210 products.  The whole-table step
+# (3 * 2**n - 4 products from 5 variables on) is faster up to 8 variables and
+# slower from 9 on all three tables; any charge from 94 to 175 picks
+# accordingly, and 128 does.
 _STEP = 128
 # _plan plans min-fill only past this many min-degree products.  Planning it on
 # every per-variable instance raised z_exact from 17.0 to 24.8 ms over 36 CSPs
@@ -437,8 +445,11 @@ def _greedy_plan(
         for w in touched:
             if not done[w]:
                 d = len(adj[w])
-                keys[w] = (d * (d - 1) // 2 - inner[w]) * n + d if by_fill else d
-                heapq.heappush(heap, (keys[w], w))
+                key = (d * (d - 1) // 2 - inner[w]) * n + d if by_fill else d
+                # A key that did not change keeps its heap entry valid.
+                if key != keys[w]:
+                    keys[w] = key
+                    heapq.heappush(heap, (key, w))
         free = list(nbrs)
         for i, u in enumerate(free):
             local[u] = i
@@ -457,28 +468,44 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[
     are the scopes, then each step's message over its free variables.
 
     Each of the n variables is in some scope.  The candidates are one step
-    that sums all m atoms of nonempty scope over the n variables, at m * 2**n
-    products, then ``_greedy_plan``'s min-degree plan and, past ``_FILL_FROM``
-    min-degree products, its min-fill plan up to one product fewer.  Each is
-    charged its products plus ``_STEP`` per kernel call, and the cheapest
-    within ``ELIMINATION_BUDGET`` is kept, the earlier on a tie.  The single
-    step is taken without planning the others when its products are at most
-    ``_STEP * n``, the fixed cost alone of the n calls of any per-variable
-    plan.  With none within the budget this raises CapacityError, before any
-    table is built, naming the order that had counted fewer products.
+    that sums all m atoms of nonempty scope over the n variables, at the
+    products ``_sum_product_count`` gives (the kernel sums each variable out
+    once no later atom reads it), then ``_greedy_plan``'s min-degree plan and,
+    past ``_FILL_FROM`` min-degree products, its min-fill plan up to one
+    product fewer.  Each is charged its products plus ``_STEP`` per kernel
+    call, and the cheapest within ``ELIMINATION_BUDGET`` is kept, the earlier
+    on a tie.  The single step is taken without planning the others when its
+    products are at most ``_STEP * n``, the fixed cost alone of the n calls of
+    any per-variable plan.  Its products lie between 2**n and m * 2**n, and
+    are counted only where those bounds leave a comparison open, and then only
+    up to the limit it is compared with.  With none within the budget this
+    raises CapacityError, before any table is built, naming the order that had
+    counted fewer products.
     """
     budget = ELIMINATION_BUDGET
     # The single step's variables are 0..n-1 in order, so its atoms keep their scopes.
-    single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
-    products = len(single[0][2]) << n
-    if products <= min(budget, _STEP * n):
+    atoms = [(atom, scope) for atom, scope in enumerate(scopes) if scope]
+    single = [(0, n, atoms)]
+    # Its products are at most m * 2**n, and at least 2**n, those of an atom
+    # reading variable n - 1; it is counted only where neither bound decides.
+    limit = min(budget, _STEP * n)
+    if len(atoms) << n <= limit:
         return single
+    kept = [scope for _, scope in atoms]
+    least = 1 << n
+    if least <= limit:
+        if _sum_product_count(0, n, kept, limit) <= limit:
+            return single
+        least = limit + 1
     degree = _greedy_plan(n, scopes, budget, False)
     orders = [("min-degree", degree)]
     if degree[0] > _FILL_FROM:
         orders.append(("min-fill", _greedy_plan(n, scopes, min(degree[0] - 1, budget), True)))
-    plans = [(products + _STEP, single)] if products <= budget else []
-    plans += [(count + _STEP * len(plan), plan) for _, (count, _, plan) in orders if plan is not None]
+    plans = [(count + _STEP * len(plan), plan) for _, (count, _, plan) in orders if plan is not None]
+    # The single step is kept if it is within the budget and costs no more.
+    limit = min([budget] + [charge - _STEP for charge, _ in plans])
+    if least <= limit and _sum_product_count(0, n, kept, limit) <= limit:
+        return single
     if not plans:
         name, (count, width, _) = min(orders, key=lambda order: order[1][0])
         raise CapacityError(f"elimination needs {count}+ products ({name}, width {width}), past {budget}")
@@ -495,12 +522,13 @@ def z_exact(inst: CspInstance) -> Fraction:
     each used table to ints once, the messages stay ints, and the one Fraction
     is the total over its denominator.
     """
-    used = {v for scope, _ in inst.constraints for v in scope}
-    index = {v: i for i, v in enumerate([v for v in inst.variables if v in used])}
-    names = inst.registry_map()
-    atoms, denominator = _integer_atoms(
-        (names[name].table, [index[v] for v in scope]) for scope, name in inst.constraints
-    )
+    constraints, variables = inst.constraints, inst.variables
+    used = {v for scope, _ in constraints for v in scope}
+    if len(used) < len(variables):
+        variables = [v for v in variables if v in used]
+    index = {v: i for i, v in enumerate(variables)}
+    names = {name: fn.table for name, fn in inst.registry}
+    atoms, denominator = _integer_atoms([(names[name], [index[v] for v in scope]) for scope, name in constraints])
     total = math.prod(table[0] for table, scope in atoms if not scope) << (len(inst.variables) - len(index))
     tables = [table for table, _ in atoms]
     for n_free, n_vars, bucket in _plan(len(index), [scope for _, scope in atoms]):

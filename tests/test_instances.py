@@ -25,6 +25,7 @@ from spincount.funcs import (
     PBFunction,
     SignedTable,
     _int_sum_product,
+    _sum_product_count,
     binary,
     table_text,
     unary,
@@ -301,9 +302,11 @@ def test_z_eliminate_long_ring_is_trace_of_matrix_power():
 
 
 def test_z_eliminate_width_cap(monkeypatch):
-    """K_17 (4.06M predicted products) is the largest EQ clique within the budget;
-    K_18 (8.65M) raises before any table is built.  The patched name is the
-    kernel z_exact calls: a counting patch sees each of K_17's buckets."""
+    """K_17 is the largest EQ clique within the budget: its single step takes
+    3.93M products, against 4.06M for one step per variable.  K_18 (8.39M in
+    one step, 8.65M on every order) raises before any table is built.  The
+    patched name is the kernel z_exact calls: a counting patch sees K_17's
+    one call over its 17 variables."""
     kernel = instances._int_sum_product
     buckets = []
 
@@ -313,7 +316,7 @@ def test_z_eliminate_width_cap(monkeypatch):
 
     monkeypatch.setattr(instances, "_int_sum_product", counted)
     assert z_exact(clique_instance(EQ, 17)) == 2
-    assert sorted(buckets) == list(range(1, 18))
+    assert buckets == [17]
 
     def no_tables(*args):
         raise AssertionError("a table was built past the budget")
@@ -507,6 +510,48 @@ def test_greedy_plans_match_a_naive_recount():
     assert differ > 100
 
 
+def test_plan_keeps_the_cheapest_candidate():
+    """_plan's bounds on the single step's products, m * 2**n above and 2**n
+    below, decide as its full count does.  On 801 lists of scopes over
+    1-14 used variables, rings and dense graphs among them, _plan must return
+    the single step when its products are at most min(budget, _STEP * n)
+    (the rule), or are within the budget and no more than every per-variable
+    plan's charge less _STEP (compared); otherwise the cheapest per-variable
+    plan, min-degree on a tie.  The first list takes 1170 products in one
+    step, within the rule's 1280 and near the lower bound 2**10."""
+    rng = random.Random(2424)
+    budget = instances.ELIMINATION_BUDGET
+    outcomes = {"rule": 0, "compared": 0, "per-variable": 0}
+    drawn = [[(0,), (1, 2, 3), (4, 5, 6), (7, 8, 9)]]
+    for i in range(800):
+        n = rng.randint(1, 14)
+        if i % 4 == 0:
+            drawn.append([(v, (v + 1) % n) for v in range(n)])
+        elif i % 4 == 1:
+            drawn.append([(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.8])
+        else:
+            drawn.append([tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(1, 2 * n))])
+    for scopes in drawn:
+        used = sorted({v for scope in scopes for v in scope})
+        index = {v: k for k, v in enumerate(used)}
+        n, scopes = len(used), [tuple(index[v] for v in scope) for scope in scopes]
+        single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
+        products = _sum_product_count(0, n, [scope for scope in scopes if scope], 1 << 60)
+        orders = [instances._greedy_plan(n, scopes, budget, False)]
+        if orders[0][0] > instances._FILL_FROM:
+            orders.append(instances._greedy_plan(n, scopes, min(orders[0][0] - 1, budget), True))
+        plans = [(count + instances._STEP * len(plan), plan) for count, _, plan in orders if plan is not None]
+        if products <= min(budget, instances._STEP * n):
+            want, outcome = single, "rule"
+        elif products <= budget and all(products + instances._STEP <= charge for charge, _ in plans):
+            want, outcome = single, "compared"
+        else:
+            want, outcome = min(plans, key=lambda charged: charged[0])[1], "per-variable"
+        assert instances._plan(n, scopes) == want, scopes
+        outcomes[outcome] += 1
+    assert outcomes["rule"] > 100 and outcomes["compared"] > 5 and outcomes["per-variable"] > 100
+
+
 def _kernel_calls(monkeypatch) -> list[int]:
     """Patch the kernel z_exact calls to record each call's n_vars; returns the record."""
     kernel = instances._int_sum_product
@@ -521,25 +566,28 @@ def _kernel_calls(monkeypatch) -> list[int]:
 
 
 def test_z_exact_matches_brute_force_on_both_plans(monkeypatch):
-    """Seeded instances on both sides of the single-step rule: m atoms over n used
-    variables take one kernel call over all n when m * 2**n <= _STEP * n, and
-    otherwise the cheaper of that call and one call per variable.  Signed
-    tables, repeated scope variables, unused variables, nullary tables and
-    zero variables are all covered."""
+    """Seeded instances on both sides of the single-step rule: atoms over n used
+    variables take one kernel call over all n when that call's products
+    (``_sum_product_count``) are at most _STEP * n, and otherwise the cheaper
+    of that call and one call per variable.  Signed tables, repeated scope
+    variables, unused variables, nullary tables and zero variables are all
+    covered."""
     calls = _kernel_calls(monkeypatch)
     rng = random.Random(2020)
     sides = {True: 0, False: 0}
     per_variable = 0
     for i in range(160):
         # Every other instance is drawn past the rule, most of the rest within it.
-        n_vars = (rng.randint(7, 9) if i % 2 else rng.randint(1, 6)) if i % 20 else 0
+        n_vars = (rng.randint(9, 11) if i % 2 else rng.randint(1, 6)) if i % 20 else 0
         low, high = (0 if i % 4 == 0 else 1, 3) if n_vars else (0, 0)
         funcs = [_rand_signed_function(rng, rng.randint(low, high)) for _ in range(rng.randint(1, 3))]
-        inst = rand_csp_instance(rng, funcs, n_vars, rng.randint(5, 12) if i % 2 else rng.randint(0, 8))
+        inst = rand_csp_instance(rng, funcs, n_vars, rng.randint(10, 16) if i % 2 else rng.randint(0, 8))
         del calls[:]
         assert z_exact(inst) == brute_force_z(inst)
-        n = len({v for scope, _ in inst.constraints for v in scope})
-        rule = sum(1 for scope, _ in inst.constraints if scope) << n <= instances._STEP * n
+        used = {v for scope, _ in inst.constraints for v in scope}
+        index = {v: i for i, v in enumerate([v for v in inst.variables if v in used])}
+        n, scopes = len(index), [[index[v] for v in scope] for scope, _ in inst.constraints if scope]
+        rule = _sum_product_count(0, n, scopes, 1 << 60) <= instances._STEP * n
         assert calls == [n] if rule else (calls == [n] or len(calls) == n)
         sides[rule] += 1
         per_variable += len(calls) > 1
