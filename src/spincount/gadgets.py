@@ -30,10 +30,12 @@ from .funcs import (
     CapacityError,
     PBFunction,
     PropertyReport,
+    _SLICE_BITS,
     _check_arity,
     _ratios,
     _rises,
     _sum_product,
+    _sum_product_count,
     bits_of,
     bit_flip,
     fourier,
@@ -78,15 +80,20 @@ class PpsFormula:
 def eval_pps(formula: PpsFormula, registry: Mapping[str, PBFunction]) -> PBFunction:
     """Brute-force evaluation of a formula to a function of its free variables.
 
-    The sum takes one product per atom (at least one) per assignment; past
-    ``instances.ELIMINATION_BUDGET`` products, or past ``ARITY_CAP`` free
-    variables, this raises CapacityError before any table is built.
+    The sum takes the products ``_sum_product_count`` gives, which sums each
+    bound variable out once no later atom reads it, and an atom-free formula
+    one per assignment; past ``instances.ELIMINATION_BUDGET`` products, or
+    past ``ARITY_CAP`` free variables, this raises CapacityError before any
+    table is built.
     """
     nf, nb = formula.n_free, formula.n_bound
     _check_arity(nf)
     budget = instances.ELIMINATION_BUDGET
-    # A shift past the budget's bit length already exceeds it.
-    products = max(1, len(formula.atoms)) << min(nf + nb, budget.bit_length())
+    # Each atom takes 2**(nf + nb - _SLICE_BITS) products at least, one per
+    # slice, and a shift past the budget's bit length already exceeds it.
+    products = 1 << min(nf + nb, budget.bit_length())
+    if formula.atoms and nf + nb - _SLICE_BITS < budget.bit_length():
+        products = _sum_product_count(nf, nf + nb, [scope for _, scope in formula.atoms], budget)
     if products > budget:
         raise CapacityError(f"{nf + nb} formula variables need {products}+ products, past {budget}")
     atoms = []

@@ -37,8 +37,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
@@ -149,7 +152,7 @@ def _unchecked(cls: type[_T], *values: object) -> _T:
 
 
 def _first_use_order(constraints: Iterable[tuple[Sequence[str], str]]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(v for scope, _ in constraints for v in scope))
+    return tuple(dict.fromkeys(chain.from_iterable(map(itemgetter(0), constraints))))
 
 
 @dataclass(frozen=True)
@@ -248,19 +251,30 @@ def _parse_value(token: str, line: int) -> Fraction:
 def parse(text: str) -> CspInstance:
     """Parse the line format; errors carry the offending line number."""
     registry: list[tuple[str, Table]] = []
-    names: dict[str, Table] = {}
+    arities: dict[str, int] = {}
     constraints: list[tuple[tuple[str, ...], str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         kind = tokens[0]
-        if kind == "fun":
+        if kind == "con":
+            if len(tokens) < 2:
+                raise InstanceError("con needs a function name", lineno)
+            name = tokens[1]
+            arity = arities.get(name)
+            if arity is None:
+                raise InstanceError(f"unknown function name {name!r}", lineno)
+            if len(tokens) - 2 != arity:
+                raise InstanceError(f"scope has {len(tokens) - 2} variables but {name!r} has arity {arity}", lineno)
+            constraints.append((tuple(tokens[2:]), name))
+        elif kind == "fun":
             if len(tokens) < 3:
                 raise InstanceError("fun needs a name and an arity", lineno)
             name = tokens[1]
-            if name in names:
+            if name in arities:
                 raise InstanceError(f"duplicate function name {name!r}", lineno)
             try:
                 arity = int(tokens[2])
@@ -283,20 +297,7 @@ def parse(text: str) -> CspInstance:
             else:
                 fn = PBFunction(arity, tuple(values))
             registry.append((name, fn))
-            names[name] = fn
-        elif kind == "con":
-            if len(tokens) < 2:
-                raise InstanceError("con needs a function name", lineno)
-            name = tokens[1]
-            if name not in names:
-                raise InstanceError(f"unknown function name {name!r}", lineno)
-            scope = tuple(tokens[2:])
-            if len(scope) != names[name].arity:
-                raise InstanceError(
-                    f"scope has {len(scope)} variables but {name!r} has arity {names[name].arity}",
-                    lineno,
-                )
-            constraints.append((scope, name))
+            arities[name] = arity
         else:
             raise InstanceError(f"unknown directive {kind!r}", lineno)
     # The line checks cover CspInstance's: every name is a token of a
@@ -539,36 +540,6 @@ def z_exact(inst: CspInstance) -> Fraction:
     return Fraction(total, denominator)
 
 
-class _ParityUnion:
-    """Union-find over variable indices with edge parities (0 equal, 1 unequal)."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
-        p = 0
-        for node in reversed(path):
-            p ^= self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = p
-        return root, self.parity[path[0]] if path else 0
-
-    def union(self, x: int, y: int, rel: int) -> bool:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        return True
-
-
 def _power_product(factors: Iterable[tuple[Fraction, int]]) -> Fraction:
     """The product of every factor raised to its count.
 
@@ -593,53 +564,74 @@ def z_product_type(inst: CspInstance) -> Fraction:
     Factors every constraint into a constant, unary weights, and equality or
     disequality couplings, then sums each coupled component in two terms.
 
-    The cost is near-linear in the instance. Every factor is an entry of one
-    of the registry's few tables, so each product is built from how often each
-    distinct factor occurs (``_power_product``), not as a running product.
+    The cost is linear in the instance.  Each variable lists its couplings as
+    ints ``2 * j + rel`` (rel 0 equal, 1 unequal), and one iterative traversal
+    labels every variable ``2 * root + parity`` against its component's first
+    variable, returning 0 at the first coupling the labels break.  Every factor
+    is an entry of one of the registry's few tables, so each product is built
+    from how often each distinct factor occurs (``_power_product``).
     """
     if inst.has_signed():
         raise InstanceError("signed tables are not product-type inputs")
     names = inst.registry_map()
-    forms = {}
-    for name in {name for _, name in inst.constraints}:
-        form = product_form(names[name])
+    groups: dict[str, list[tuple[str, ...]]] = {}
+    for scope, name in inst.constraints:
+        groups.setdefault(name, []).append(scope)
+    forms = {name: product_form(names[name]) for name in groups}
+    for name, form in forms.items():
         if form is None:
             raise InstanceError(f"function {name!r} is not product-type")
-        forms[name] = form
-    n = len(inst.variables)
-    index = {v: i for i, v in enumerate(inst.variables)}
-    union = _ParityUnion(n)
-    uses: dict[str, int] = {}
-    feasible = True
-    for scope, name in inst.constraints:
-        uses[name] = uses.get(name, 0) + 1
-        form = forms[name]
-        for a, b in form.eq_pairs:
-            feasible &= union.union(index[scope[a]], index[scope[b]], 0)
-        for a, b in form.neq_pairs:
-            feasible &= union.union(index[scope[a]], index[scope[b]], 1)
-    constant = _power_product((forms[name].constant, count) for name, count in uses.items())
-    if constant == 0 or not feasible:
+    constant = _power_product((forms[name].constant, len(scopes)) for name, scopes in groups.items())
+    if constant == 0:
         return Fraction(0)
-    # Unary j of a constraint named `name`, on a variable of parity p against
-    # its component's root, multiplies that component's two terms by u(p) and
-    # u(1 - p); count each such placement once.
-    placements: dict[tuple[int, int, str, int], int] = {}
-    for scope, name in inst.constraints:
-        for j, (coord, _) in enumerate(forms[name].unaries):
-            root, p = union.find(index[scope[coord]])
-            key = (root, p, name, j)
-            placements[key] = placements.get(key, 0) + 1
+    index = {v: i for i, v in enumerate(inst.variables)}
+
+    def column(scopes: list[tuple[str, ...]], coord: int) -> Iterable[int]:
+        return map(index.__getitem__, map(itemgetter(coord), scopes))
+
+    # No object per coupling: fewer live containers, fewer garbage collections.
+    neighbours: list[list[int]] = [[] for _ in index]
+    for name, scopes in groups.items():
+        form = forms[name]
+        for rel, pairs in ((0, form.eq_pairs), (1, form.neq_pairs)):
+            for a, b in pairs:
+                for i, j in zip(column(scopes, a), column(scopes, b)):
+                    neighbours[i].append(2 * j + rel)
+                    neighbours[j].append(2 * i + rel)
+    label = [-1] * len(index)
+    stack = []
+    components = 0
+    for root in range(len(index)):
+        if label[root] >= 0:
+            continue
+        components += 1
+        label[root] = 2 * root
+        stack.append(root)
+        while stack:
+            i = stack.pop()
+            own = label[i]
+            for code in neighbours[i]:
+                j = code >> 1
+                want = own ^ (code & 1)
+                have = label[j]
+                if have < 0:
+                    label[j] = want
+                    stack.append(j)
+                elif have != want:
+                    return Fraction(0)
+    # Unary u on a variable of label 2 * root + p multiplies that component's
+    # two terms by u(p) and u(1 - p); count each label's placements once.
     terms: dict[int, tuple[list, list]] = {}
-    for (root, p, name, j), count in placements.items():
-        table = forms[name].unaries[j][1].table
-        term0, term1 = terms.setdefault(root, ([], []))
-        term0.append((table[p], count))
-        term1.append((table[1 - p], count))
+    for name, scopes in groups.items():
+        for coord, unary_fn in forms[name].unaries:
+            table = unary_fn.table
+            for lab, count in Counter(map(label.__getitem__, column(scopes, coord))).items():
+                term0, term1 = terms.setdefault(lab >> 1, ([], []))
+                term0.append((table[lab & 1], count))
+                term1.append((table[1 - (lab & 1)], count))
     sums = [(_power_product(t0) + _power_product(t1), 1) for t0, t1 in terms.values()]
     # A component without unaries sums to 1 + 1.
-    roots = sum(1 for i in range(n) if union.parent[i] == i)
-    sums.append((Fraction(2), roots - len(terms)))
+    sums.append((Fraction(2), components - len(terms)))
     return constant * _power_product(sums)
 
 

@@ -108,6 +108,23 @@ def test_eval_pps_product_budget(monkeypatch):
         eval_pps(PpsFormula(0, 5, ()), {})
 
 
+def test_eval_pps_charges_the_products_the_kernel_takes(monkeypatch):
+    """A path formula over 20 variables takes 2,098,432 products, as the kernel
+    sums each variable out early, not 19 * 2**20: it is within the budget and
+    equals z_exact on the same path.  Over 21 variables it takes 4,197,376,
+    past the budget, and is refused before the sum."""
+    f = binary(2, 1, 1, 2)
+
+    def path(n: int) -> PpsFormula:
+        return PpsFormula(0, n, (("f", (i, i + 1)) for i in range(n - 1)))
+
+    inst = instances.CspInstance.build({"f": f}, [((f"x{i}", f"x{i + 1}"), "f") for i in range(19)])
+    assert eval_pps(path(20), {"f": f}).table == (instances.z_exact(inst),)
+    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    with pytest.raises(CapacityError, match="4197376"):
+        eval_pps(path(21), {"f": f})
+
+
 def test_eval_pps_memory_stays_within_a_slice():
     """pps 1 16 sums 2**17 assignments of two atoms.  The kernel expands
     2**_SLICE_BITS of them at a time, so the traced peak stays far below the

@@ -27,6 +27,7 @@ from spincount.funcs import (
     _int_sum_product,
     _sum_product_count,
     binary,
+    product_form,
     table_text,
     unary,
 )
@@ -119,6 +120,34 @@ def test_parse_errors_carry_line_numbers():
         parse("fun f 1000000 1\n")
     with pytest.raises(CapacityError, match="line 2: arity 17 exceeds"):
         parse(f"fun u 1 1 2\nfun f 17{' 1' * (1 << 17)}\n")
+
+
+# Each error's message and line, frozen as parse gave them before it tested
+# for '#' before splitting a line and checked 'con' lines first.
+PARSE_ERRORS = [
+    ("frob x y\n", "line 1: unknown directive 'frob'", 1),
+    ("fun f 2 2 1 1 2\ncon\n", "line 2: con needs a function name", 2),
+    ("con f x y\nfun f 2 2 1 1 2\n", "line 1: unknown function name 'f'", 1),
+    ("fun f 2 2 1 1 2\ncon f x y z\n", "line 2: scope has 3 variables but 'f' has arity 2", 2),
+    ("fun f\n", "line 1: fun needs a name and an arity", 1),
+    ("fun f x 1 2\n", "line 1: bad arity 'x'", 1),
+    ("fun f 0 1\n", "line 1: bad arity 0", 1),
+    ("fun f 1 1 2\nfun f 1 3 4\n", "line 2: duplicate function name 'f'", 2),
+    ("fun f 1 1 2/x\n", "line 1: malformed rational '2/x'", 1),
+    ("fun f 2 2 1 1 2\ncon f x#y\n", "line 2: scope has 1 variables but 'f' has arity 2", 2),
+    ("fun f 1 2 2\n# only a comment\ncon f\n", "line 3: scope has 0 variables but 'f' has arity 1", 3),
+    ("fun\tf\t1\t2\t2\ncon\tf\tx\ty\n", "line 2: scope has 2 variables but 'f' has arity 1", 2),
+    ("fun f 1 2 2\r\n\r\ncon f x y\r\n", "line 3: scope has 2 variables but 'f' has arity 1", 3),
+    ("  # c\n   \n\tfrob\n", "line 3: unknown directive 'frob'", 3),
+    ("fun f# 1 2 2\n", "line 1: fun needs a name and an arity", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line", PARSE_ERRORS)
+def test_parse_errors_are_frozen(text, message, line):
+    with pytest.raises(InstanceError) as caught:
+        parse(text)
+    assert (str(caught.value), caught.value.line) == (message, line)
 
 
 def test_build_validates_scopes():
@@ -762,6 +791,62 @@ def test_z_product_type_long_random_rings_match_elimination():
         zero += z == 0
         nonzero += z != 0
     assert zero >= 2 and nonzero >= 2, (zero, nonzero)
+
+
+def _consistent_scope(rng: random.Random, form, names: list[str], side: dict[str, int]):
+    """A scope for ``form`` whose couplings all hold under ``side``, or None."""
+    slots = [rng.choice(names) for _ in range(form.arity)]
+    for pairs, rel in ((form.eq_pairs, 0), (form.neq_pairs, 1)):
+        for a, b in pairs:
+            fits = [v for v in names if side[v] == side[slots[a]] ^ rel]
+            if not fits:
+                return None
+            slots[b] = rng.choice(fits)
+    return tuple(slots)
+
+
+def test_z_product_type_on_unions_of_many_components_matches_elimination():
+    """Disjoint unions of 300 blocks of at most 6 variables each, over random
+    product-type functions of arity 1-3 with equality and disequality
+    couplings, repeated scope variables and unused variables.
+
+    Every block is coupled consistently with a hidden side per variable, so
+    its sum is positive, except that one draw closes an odd cycle of NEQ in
+    one block, so Z = 0 there.  A block has at most 6 variables, so
+    elimination is exact and quick on the union, which sums hundreds of
+    components, each with its own unary placements on both parities.
+    """
+    rng = random.Random(1324)
+    funcs = [rand_product_type(rng, arity) for arity in (1, 2, 2, 3, 3, 3)]
+    forms = [product_form(fn) for fn in funcs]
+    assert any(form.eq_pairs for form in forms) and any(form.neq_pairs for form in forms)
+    registry = {f"f{i}": fn for i, fn in enumerate(funcs)} | {"n": NEQ}
+    repeated = unused = 0
+    for draw in range(4):
+        cons = []
+        variables = []
+        for block in range(300):
+            odd = draw == 1 and block == 150
+            names = [f"b{block}.{i}" for i in range(rng.randint(3 if odd else 1, 6))]
+            variables += names
+            side = {v: rng.randrange(2) for v in names}
+            for _ in range(rng.randint(1, 5)):
+                i = rng.randrange(len(funcs))
+                scope = _consistent_scope(rng, forms[i], names, side)
+                if scope is not None:
+                    cons.append((scope, f"f{i}"))
+                    repeated += len(set(scope)) < len(scope)
+            if odd:
+                a, b, c = names[:3]
+                cons += [((a, b), "n"), ((b, c), "n"), ((c, a), "n")]
+        used = {v for scope, _ in cons for v in scope}
+        unused += len(set(variables) - used)
+        rng.shuffle(cons)
+        inst = CspInstance.build(registry, cons, variables)
+        z = z_product_type(inst)
+        assert z == z_exact(inst)
+        assert (z == 0) == (draw == 1)
+    assert repeated >= 50 and unused >= 50, (repeated, unused)
 
 
 def test_z_product_type_rejects_non_product():
