@@ -5,7 +5,10 @@ constraint applying a named table to a scope of variables (repeats allowed).
 The partition function is the sum over all assignments of the product of
 constraint values.  A ``HolantInstance`` is a ``CspInstance`` in which every
 variable fills exactly two slots; its constructor checks that too, and every
-function here that takes a ``CspInstance`` takes it as it is.
+function here that takes a ``CspInstance`` takes it as it is.  The
+constructors check all scopes at once, and ``degrees`` and ``to_holant`` work
+in flat passes over the slots (the scopes laid end to end); a loop over the
+constraints runs only to name the first fault.
 
 The text format is line oriented:
 
@@ -40,9 +43,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
-from typing import Container, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+from itertools import chain, compress, islice, repeat
+from operator import contains, itemgetter
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .funcs import (
     ARITY_CAP,
@@ -151,8 +154,13 @@ def _unchecked(cls: type[_T], *values: object) -> _T:
     return obj
 
 
+def _slots(constraints: Iterable[tuple[Sequence[str], str]]) -> Iterator[str]:
+    """The variables filling the constraints' slots, scope after scope."""
+    return chain.from_iterable(map(itemgetter(0), constraints))
+
+
 def _first_use_order(constraints: Iterable[tuple[Sequence[str], str]]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(chain.from_iterable(map(itemgetter(0), constraints))))
+    return tuple(dict.fromkeys(_slots(constraints)))
 
 
 @dataclass(frozen=True)
@@ -175,24 +183,30 @@ class CspInstance:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "constraints", constraints)
-        if len(set(variables)) != len(variables):
+        var_set = set(variables)
+        if len(var_set) != len(variables):
             raise InstanceError("duplicate variable names")
         _check_names("variable", variables)
         _check_names("function", [name for name, _ in registry])
-        seen: dict[str, Table] = {}
+        arity: dict[str, int] = {}
         for name, fn in registry:
-            if name in seen:
+            if name in arity:
                 raise InstanceError(f"duplicate function name {name!r}")
             if not isinstance(fn, (PBFunction, SignedTable)):
                 raise InstanceError(f"registry entry {name!r} is not a table")
-            seen[name] = fn
-        var_set = set(variables)
+            arity[name] = fn.arity
+        # All constraints are checked at once; only a faulty instance loops.
+        if list(map(arity.get, map(itemgetter(1), constraints))) == list(
+            map(len, map(itemgetter(0), constraints))
+        ) and var_set.issuperset(_slots(constraints)):
+            return
+        # Name the first constraint at fault, and its first fault.
         for scope, name in constraints:
-            if name not in seen:
+            if name not in arity:
                 raise InstanceError(f"unknown function name {name!r}")
-            if len(scope) != seen[name].arity:
+            if len(scope) != arity[name]:
                 raise InstanceError(
-                    f"scope {scope!r} has {len(scope)} variables but {name!r} has arity {seen[name].arity}"
+                    f"scope {scope!r} has {len(scope)} variables but {name!r} has arity {arity[name]}"
                 )
             for v in scope:
                 if v not in var_set:
@@ -216,10 +230,9 @@ class CspInstance:
         return dict(self.registry)
 
     def degrees(self) -> dict[str, int]:
-        out = {v: 0 for v in self.variables}
-        for scope, _ in self.constraints:
-            for v in scope:
-                out[v] += 1
+        """Each variable's number of slots, in variable order."""
+        out = dict.fromkeys(self.variables, 0)
+        out.update(Counter(_slots(self.constraints)))
         return out
 
     def has_signed(self) -> bool:
@@ -232,8 +245,9 @@ class HolantInstance(CspInstance):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        bad = {v: d for v, d in self.degrees().items() if d != 2}
-        if bad:
+        degrees = self.degrees()
+        if not {2}.issuperset(degrees.values()):
+            bad = {v: d for v, d in degrees.items() if d != 2}
             raise InstanceError(f"not a holant instance; occurrence counts off at {bad!r}")
 
 
@@ -639,14 +653,14 @@ def z_product_type(inst: CspInstance) -> Fraction:
 # Holant conversion
 
 
-def _dotted_prefixes(names: Iterable[str]) -> set[str]:
+def _dotted_prefixes(names: Sequence[str]) -> set[str]:
     """Every prefix ending in a dot of every name.
 
     A name starts with a dot-terminated string p exactly when p is in the set,
     so a prefix test against all names is one membership test.
     """
     out: set[str] = set()
-    for name in names:
+    for name in compress(names, map(contains, names, repeat("."))):
         i = name.find(".")
         while i >= 0:
             out.add(name[: i + 1])
@@ -686,14 +700,23 @@ def _with_function(
     return name, csp.registry + ((name, table),)
 
 
-def _rename_slots(
-    constraints: Iterable[tuple[tuple[str, ...], str]], renames: Mapping[str, Iterable[str]]
+def _renamed(
+    constraints: Sequence[tuple[tuple[str, ...], str]], renames: Mapping[str, Iterable[str]]
 ) -> list[tuple[tuple[str, ...], str]]:
-    """The constraints with each slot of a renamed variable given its next new name, in slot order."""
-    ends = {v: iter(names) for v, names in renames.items()}
-    return [
-        (tuple(next(ends[v]) if v in ends else v for v in scope), name) for scope, name in constraints
-    ]
+    """The constraints with each slot of a renamed variable given its next new name, in slot order.
+
+    One pass renames the flattened slots; the scopes are then cut back out of
+    them, all at once when every scope has the same size.
+    """
+    ends = {v: iter(names) for v, names in renames.items()}.get
+    slots = iter([next(rest) if (rest := ends(v)) else v for v in _slots(constraints)])
+    sizes = list(map(len, map(itemgetter(0), constraints)))
+    k = sizes[0] if sizes else 0
+    if k and sizes.count(k) == len(sizes):
+        scopes: Iterable[tuple[str, ...]] = zip(*[slots] * k)
+    else:
+        scopes = map(tuple, map(islice, repeat(slots), sizes))
+    return list(zip(scopes, map(itemgetter(1), constraints)))
 
 
 @dataclass(frozen=True)
@@ -723,7 +746,7 @@ def to_holant(inst: CspInstance) -> HolantConversion:
     if inst.has_signed():
         raise InstanceError("signed registries cannot be converted")
     degrees = inst.degrees()
-    if all(d == 2 for d in degrees.values()):
+    if {2}.issuperset(degrees.values()):
         # Just counted: every variable fills two slots.
         return _certify(inst, _unchecked(HolantInstance, inst.variables, inst.registry, inst.constraints))
     eq_name, registry = _with_function(inst, "eq3", EQ3)
@@ -731,26 +754,25 @@ def to_holant(inst: CspInstance) -> HolantConversion:
     renames: dict[str, list[str]] = {}
     extra: list[tuple[tuple[str, ...], str]] = []
     taken = _dotted_prefixes(inst.variables)
-    for v, d in degrees.items():
-        if d == 2:
-            continue
+    for v, d in compress(degrees.items(), map((2).__ne__, degrees.values())):
         prefix = _fresh_prefix(v, taken)
-        # Generated names are the prefix plus digits: its dotted prefixes are theirs.
-        taken |= _dotted_prefixes((prefix,))
+        # Generated names are the prefix plus digits.  Their dotted prefixes
+        # are v's, already taken, then v. and the prefix.
+        taken.update((f"{v}.", prefix))
         if d == 0:
             extra.append(((v, f"{prefix}1", f"{prefix}1"), eq_name))
             extra.append(((v, f"{prefix}2", f"{prefix}2"), eq_name))
         elif d == 1:
             extra.append(((v, f"{prefix}1", f"{prefix}1"), eq_name))
         else:
-            ends = [f"{prefix}{i + 1}" for i in range(d)]
-            link = [f"{prefix}{d + i}" for i in range(1, d - 2)]
-            renames[v] = ends
-            for i in range(1, d - 1):
-                first = ends[0] if i == 1 else link[i - 2]
-                third = ends[d - 1] if i == d - 2 else link[i - 1]
-                extra.append(((first, ends[i], third), eq_name))
-    constraints = _rename_slots(inst.constraints, renames) + extra
+            # Ends are names 1..d and links d+1..2d-3.  Junction i joins the
+            # link before it (end 1 for the first), end i+1, and the link
+            # after it (end d for the last).
+            names = [f"{prefix}{i}" for i in range(1, 2 * d - 2)]
+            renames[v] = names  # its slots take the first d
+            links = names[d:]
+            extra += zip(zip(names[:1] + links, names[1 : d - 1], links + names[d - 1 : d]), repeat(eq_name))
+    constraints = _renamed(inst.constraints, renames) + extra
     # Valid by construction from a valid instance: eq_name is fresh or names EQ3,
     # junction names are a fresh prefix of a valid name plus digits, and each
     # variable fills two slots.  Variables are inferred as CspInstance.build does.
@@ -827,7 +849,7 @@ def _split_pair(
     for w in (u, v):
         prefix = _fresh_prefix(w, taken, "split")
         renames[w] = [f"{prefix}1", f"{prefix}2"]
-    constraints = _rename_slots(csp.constraints, renames)
+    constraints = _renamed(csp.constraints, renames)
     for w in (u, v):
         constraints.append((tuple(renames[w]), neq_name))
     return CspInstance.build(registry, constraints)

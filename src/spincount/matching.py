@@ -9,6 +9,9 @@ partition function, and count perfect matchings either exactly
 Markov chain telescoped over vertex removals.  The chain runs on the weighted
 graph and simulates only the steps that change its state; ``integerize``
 (weights cleared into parallel unit edges) defines its law but is never built.
+The reduction's stages are flat passes over the slots (the scopes laid end to
+end), not loops per constraint: slot k of the triangle graph's instance is
+corner vertex k, and the edges are zipped from the corner and slot lists.
 ``estimate_z_fpras`` answers exactly by ``instances.z_exact`` whenever its
 elimination budget allows, and runs the pipeline only past it.
 ``estimate_pm`` counts graphs of at most ``EXACT_CAP`` vertices exactly, and
@@ -22,9 +25,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .funcs import (
@@ -45,6 +51,7 @@ from .instances import (
     HolantInstance,
     InstanceError,
     _fresh_name,
+    _slots,
     _unchecked,
     to_holant,
     z_exact,
@@ -199,7 +206,7 @@ def lift_instance(inst: CspInstance) -> CspInstance:
     One fresh variable is appended and shared by every constraint; the
     partition function exactly doubles.
     """
-    used = sorted({name for _, name in inst.constraints})
+    used = sorted(set(map(itemgetter(1), inst.constraints)))
     if len(used) > 1:
         raise InstanceError(f"lift needs a single constraint function, got {used}")
     names = inst.registry_map()
@@ -214,8 +221,7 @@ def lift_instance(inst: CspInstance) -> CspInstance:
             raise InstanceError(f"lift needs a binary function, {used[0]!r} has arity {fn.arity}")
         lifted_name = _fresh_name(f"{used[0]}.lift", set(names))
         registry.append((lifted_name, sdp3_lift(fn)))
-        for scope, _ in inst.constraints:
-            constraints.append(((scope[0], scope[1], aux), lifted_name))
+        constraints = [((x, y, aux), lifted_name) for (x, y), _ in inst.constraints]
     # Valid by construction from a valid instance: aux and lifted_name are
     # fresh valid names, and every scope is two of its variables plus aux
     # under the arity-3 lift.
@@ -254,7 +260,7 @@ def holant_fourier_form(inst: CspInstance) -> FourierNormalForm:
     even-parity indicator).
     """
     names = inst.registry_map()
-    for name in sorted({name for _, name in inst.constraints}):
+    for name in sorted(set(map(itemgetter(1), inst.constraints))):
         fn = names[name]
         if isinstance(fn, SignedTable):
             raise InstanceError("signed registries have no Fourier normal form")
@@ -267,9 +273,7 @@ def holant_fourier_form(inst: CspInstance) -> FourierNormalForm:
                 f"function {name!r} has Fourier mass on odd-weight inputs or negative coefficients"
             )
     hol = to_holant(inst).holant
-    used_counts: dict[str, int] = {}
-    for _, name in hol.constraints:
-        used_counts[name] = used_counts.get(name, 0) + 1
+    used_counts = Counter(map(itemgetter(1), hol.constraints))
     registry: list[tuple[str, PBFunction]] = []
     constant = _ONE
     for name, fn in hol.registry:
@@ -311,31 +315,38 @@ def build_triangle_graph(inst: HolantInstance) -> WeightedMultigraph:
     for name, fn in inst.registry_map().items():
         on_form = _on_fourier_form(fn)
         weights[name] = (fn.table[0b110], fn.table[0b101], fn.table[0b011]) if on_form else None
+    per_triangle = [weights[name] for _, name in inst.constraints]
+    if None in per_triangle:
+        ci = per_triangle.index(None)
+        name = inst.constraints[ci][1]
+        raise InstanceError(
+            f"constraint {ci} uses {name!r}, which is not unit-at-zero and zero on odd weight"
+        )
+    # Triangle ci's corners a, b, c are vertices 3ci, 3ci+1 and 3ci+2.
+    vertices = [base + k for base in [f"c{ci}." for ci in range(len(per_triangle))] for k in ("1", "2", "3")]
+    # Its edges ab, ac and bc take its three weights in order: their first
+    # ends are a, a, b and their second ends b, c, c.
+    us, vs = vertices[:], vertices[:]
+    us[1::3], us[2::3] = vertices[0::3], vertices[1::3]
+    vs[0::3], vs[1::3] = vertices[1::3], vertices[2::3]
     # Edges skip Edge's per-edge check: the per-table check above covers it.
     # With signed registries refused, every weight is an entry of a
     # PBFunction, a nonnegative Fraction, and both labels are in EDGE_LABELS.
     new_edge = tuple.__new__
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    for ci, (_, name) in enumerate(inst.constraints):
-        w = weights[name]
-        if w is None:
-            raise InstanceError(
-                f"constraint {ci} uses {name!r}, which is not unit-at-zero and zero on odd weight"
-            )
-        a, b, c = corners = (f"c{ci}.1", f"c{ci}.2", f"c{ci}.3")
-        vertices += corners
-        edges += (
-            new_edge(Edge, (a, b, w[0], "within_triangle")),
-            new_edge(Edge, (a, c, w[1], "within_triangle")),
-            new_edge(Edge, (b, c, w[2], "within_triangle")),
-        )
+    weights_in_order = chain.from_iterable(per_triangle)
+    edges = list(map(new_edge, repeat(Edge), zip(us, vs, weights_in_order, repeat("within_triangle"))))
+    del us, vs, per_triangle  # so that they do not add to the peak below
     # Slot k of the flattened scopes is corner vertices[k]; a holant variable
     # fills exactly two slots, its first and its last.
-    filled = [v for scope, _ in inst.constraints for v in scope]
+    filled = list(_slots(inst.constraints))
     first = dict(zip(reversed(filled), reversed(vertices)))
     last = dict(zip(filled, vertices))
-    edges += [new_edge(Edge, (first[v], last[v], _ONE, "between_triangles")) for v in inst.variables]
+    edges += map(new_edge, repeat(Edge), zip(
+        map(first.__getitem__, inst.variables),
+        map(last.__getitem__, inst.variables),
+        repeat(_ONE),
+        repeat("between_triangles"),
+    ))
     # Corner names c<ci>.<k> are distinct, and every edge joins two corners.
     return _unchecked(WeightedMultigraph, tuple(vertices), tuple(edges))
 
@@ -574,30 +585,30 @@ def _condition_level(
     perfect = 0
     for attempt in range(3):
         rng = random.Random((cfg.seed * 2654435761 + level * 65537 + attempt * 257 + 1) % (1 << 63))
-        chain = _Chain(bundles, d, list(start), rng)
-        chain.advance(burn)
+        walk = _Chain(bundles, d, list(start), rng)
+        walk.advance(burn)
         pilot = max(100, target // 10)
         hits = 0
         for _ in range(pilot):
-            chain.advance(spacing)
-            if not chain.holes:
+            walk.advance(spacing)
+            if not walk.holes:
                 hits += 1
         beta = (hits + 1.0) / (pilot + 2.0)
-        chain.set_penalty(min(1.0, max(beta / (1.0 - beta), 1e-4)))
-        chain.advance(burn)
+        walk.set_penalty(min(1.0, max(beta / (1.0 - beta), 1e-4)))
+        walk.advance(burn)
         counts.clear()
         witness.clear()
         perfect = 0
         budget = 50 * target
         while perfect < target and budget > 0:
-            chain.advance(spacing)
+            walk.advance(spacing)
             budget -= 1
-            if not chain.holes:
+            if not walk.holes:
                 perfect += 1
-                x = chain.match[0]
+                x = walk.match[0]
                 counts[x] = counts.get(x, 0) + 1
                 if x not in witness:
-                    witness[x] = list(chain.match)
+                    witness[x] = list(walk.match)
         if counts:
             break
     else:

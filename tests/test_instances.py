@@ -150,6 +150,50 @@ def test_parse_errors_are_frozen(text, message, line):
     assert (str(caught.value), caught.value.line) == (message, line)
 
 
+CONSTRUCTOR_ERRORS = [
+    ("undeclared", lambda: CspInstance(("x", "y"), (("e", EQ),), ((("x", "y"), "e"), (("x", "z"), "e"))),
+     "undeclared variable 'z' in scope"),
+    ("first_undeclared_in_scope", lambda: CspInstance(("x",), (("t", EQ3),), ((("x", "q", "p"), "t"),)),
+     "undeclared variable 'q' in scope"),
+    ("arity", lambda: CspInstance(("x", "y"), (("e", EQ),), ((("x", "y"), "e"), (("x",), "e"))),
+     "scope ('x',) has 1 variables but 'e' has arity 2"),
+    ("unknown", lambda: CspInstance(("x", "y"), (("e", EQ),), ((("x", "y"), "e"), (("x", "y"), "nope"))),
+     "unknown function name 'nope'"),
+    ("unknown_before_arity_and_undeclared", lambda: CspInstance(("x",), (("e", EQ),), ((("z",), "nope"),)),
+     "unknown function name 'nope'"),
+    ("arity_before_undeclared", lambda: CspInstance(("x",), (("e", EQ),), ((("x", "z", "z"), "e"),)),
+     "scope ('x', 'z', 'z') has 3 variables but 'e' has arity 2"),
+    ("first_constraint_at_fault", lambda: CspInstance(
+        ("x", "y"), (("e", EQ), ("u", DELTA0)),
+        ((("x", "y"), "e"), (("w",), "u"), (("x", "y"), "nope"), (("x",), "e")),
+    ), "undeclared variable 'w' in scope"),
+    ("duplicate_variable", lambda: CspInstance(("x", "y", "x"), (("e", EQ),), ((("x", "y"), "e"),)),
+     "duplicate variable names"),
+    ("duplicate_function", lambda: CspInstance(("x", "y"), (("e", EQ), ("e", IMP)), ((("x", "y"), "e"),)),
+     "duplicate function name 'e'"),
+    ("not_a_table", lambda: CspInstance(("x",), (("e", (1, 0, 0, 1)),), ()),
+     "registry entry 'e' is not a table"),
+    ("holant_counts", lambda: HolantInstance(
+        ("a", "b", "c", "d"), (("e", EQ), ("t", EQ3)),
+        ((("a", "b"), "e"), (("b", "c", "c"), "t"), (("c", "a"), "e"), (("b", "a"), "e")),
+    ), "not a holant instance; occurrence counts off at {'a': 3, 'b': 3, 'c': 3, 'd': 0}"),
+    ("holant_checks_csp_first", lambda: HolantInstance(("a",), (("e", EQ),), ((("a", "b"), "e"),)),
+     "undeclared variable 'b' in scope"),
+    ("holant_build", lambda: HolantInstance.build({"e": EQ}, [(("a", "b"), "e"), (("b", "c"), "e")]),
+     "not a holant instance; occurrence counts off at {'a': 1, 'c': 1}"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", [row[1:] for row in CONSTRUCTOR_ERRORS], ids=[row[0] for row in CONSTRUCTOR_ERRORS]
+)
+def test_constructor_errors_are_frozen(make, message):
+    """The checked constructors name the first fault, in the first constraint that has one."""
+    with pytest.raises(InstanceError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_build_validates_scopes():
     with pytest.raises(InstanceError, match="arity"):
         CspInstance.build({"e": EQ}, [(("x",), "e")])
@@ -1005,6 +1049,71 @@ def test_to_holant_random_preserves_z():
         assert z_exact(conv.holant) == z
         if conv.verified:
             assert conv.z_source == conv.z_holant == z
+
+
+# Names that hold dots, that start with a generated prefix (x.eq.), or that a
+# generated name would take (x.eq.1, x.eqq.2).
+_CLASHING_NAMES = ["x", "x.eq.1", "x.eq.7.y", "x.eq", "x.eqq.2", "a", "a.b", "y.2"]
+
+
+def _to_holant_frozen_inputs():
+    rng = random.Random(2501)
+    for case in range(200):
+        names = rng.sample(_CLASHING_NAMES, rng.randint(0, 4)) + [f"v{i}" for i in range(rng.randint(1, 5))]
+        rng.shuffle(names)
+        degrees = [2] * len(names) if case % 10 == 0 else [rng.randint(0, 6) for _ in names]
+        slots = [v for v, d in zip(names, degrees) for _ in range(d)]
+        rng.shuffle(slots)
+        registry = {f"f{k}": rand_function(rng, k) for k in range(1, 5)}
+        if case % 3 == 0:  # eq3 taken: by EQ3 itself, which is reused, or by another table
+            registry["eq3"] = EQ3 if case % 2 else IMP
+        if case % 4 == 1:  # every scope of one size
+            k = rng.randint(1, 4)
+            names.append("pad")
+            slots += ["pad"] * (-len(slots) % k)
+            sizes = [k] * (len(slots) // k)
+        else:
+            sizes = []
+            while sum(sizes) < len(slots):
+                sizes.append(rng.randint(1, min(4, len(slots) - sum(sizes))))
+        it = iter(slots)
+        constraints = [(tuple(next(it) for _ in range(k)), f"f{k}") for k in sizes]
+        yield CspInstance.build(registry, constraints, variables=names)
+
+
+def test_to_holant_output_frozen():
+    """Slot order, junction order and names, variable order and registry of 200 conversions.
+
+    Z cannot see slot order: a chain of equality junctions keeps Z under any
+    order of its ends.  The digest was computed before the slots were renamed
+    in one flat pass.
+    """
+    digest = hashlib.sha256()
+    shapes = set()
+    for inst in _to_holant_frozen_inputs():
+        holant = to_holant(inst).holant
+        digest.update(f"{holant.variables!r}\n{serialize(holant)}".encode())
+        shapes.update(inst.degrees().values())
+        shapes.update(len(set(scope)) < len(scope) for scope, _ in inst.constraints)
+    assert shapes == {0, 1, 2, 3, 4, 5, 6, True, False}
+    assert digest.hexdigest() == "2318bf0a6cd45b9a41591c850a847063ea0b1193e6779480c6388bed8c8136d7"
+
+
+def test_to_holant_keeps_empty_scopes():
+    """A constant table's empty scope, alone or among others, stays as it is."""
+    const, double = PBFunction(0, (3,)), unary(1, 2)
+    only_empty = CspInstance.build({"c": const}, [((), "c"), ((), "c")], variables=["x"])
+    conv = to_holant(only_empty)
+    assert conv.holant.constraints == (
+        ((), "c"), ((), "c"), (("x", "x.eq.1", "x.eq.1"), "eq3"), (("x", "x.eq.2", "x.eq.2"), "eq3")
+    )
+    assert conv.z_holant == conv.z_source == 18
+    mixed = CspInstance.build({"c": const, "u": double}, [(("x",), "u"), ((), "c"), (("x",), "u"), (("x",), "u")])
+    conv = to_holant(mixed)
+    assert [scope for scope, _ in conv.holant.constraints] == [
+        ("x.eq.1",), (), ("x.eq.2",), ("x.eq.3",), ("x.eq.1", "x.eq.2", "x.eq.3")
+    ]
+    assert conv.z_holant == conv.z_source == 27
 
 
 def test_to_holant_rejects_signed():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import subprocess
@@ -30,6 +31,7 @@ from spincount.instances import (
     CspInstance,
     HolantInstance,
     InstanceError,
+    parse,
     z_exact,
 )
 from spincount.matching import (
@@ -209,6 +211,22 @@ def test_triangle_graph_serialization_frozen():
         "e c0.1 c0.2 1 between_triangles\ne c0.3 c1.2 1 between_triangles\n"
         "e c1.1 c1.3 1 between_triangles\n"
     )
+
+
+def test_scale_reductions_frozen():
+    """parse, lift, Fourier form and triangle graph on a 1000-ring hub and a 500-variable spread.
+
+    The digests of ``serialize_graph`` were computed before the reduction's
+    stages became flat passes over the slots.
+    """
+    ring = "fun f 2 2 1 1 2\n" + "".join(f"con f x{i} x{(i + 1) % 1000}\n" for i in range(1000))
+    rng = random.Random(500)
+    names = [f"v{i}" for i in range(500)]
+    spread = "fun f 2 2 1 1 2\n" + "".join("con f {} {}\n".format(*rng.sample(names, 2)) for _ in range(1000))
+    for text, expected in ((ring, "e13f3d05a43a5e895bdddce8dadb8d77986b6418c6583485c96730ae3c7e260e"), (spread, "ac1440496035eac7137630a782fcf08734a5be675c929c09e84cafa8607a59c9")):
+        form = holant_fourier_form(lift_instance(parse(text)))
+        graph = build_triangle_graph(form.holant)
+        assert hashlib.sha256(serialize_graph(graph).encode()).hexdigest() == expected
 
 
 def test_triangle_graph_rejects_off_form_tables():
