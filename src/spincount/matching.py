@@ -9,9 +9,6 @@ partition function, and count perfect matchings either exactly
 Markov chain telescoped over vertex removals.  The chain runs on the weighted
 graph and simulates only the steps that change its state; ``integerize``
 (weights cleared into parallel unit edges) defines its law but is never built.
-The reduction's stages are flat passes over the slots (the scopes laid end to
-end), not loops per constraint: slot k of the triangle graph's instance is
-corner vertex k, and the edges are zipped from the corner and slot lists.
 ``estimate_z_fpras`` answers exactly by ``instances.z_exact`` whenever its
 elimination budget allows, and runs the pipeline only past it.
 ``estimate_pm`` counts graphs of at most ``EXACT_CAP`` vertices exactly, and
