@@ -23,15 +23,17 @@ from .funcs import (
     PBFunction,
     SignedTable,
     SupportRelation,
+    _lattice_order,
+    _monotone_on,
+    _ratios,
+    _trivial_binary,
     _wht,
     bit_flip,
     in_cp,
     is_and_or_closed,
     is_affine_relation,
     is_lsm,
-    is_monotone,
     is_product_type,
-    is_trivial_binary,
     record_fields,
 )
 
@@ -92,10 +94,12 @@ def classify_two_spin(f: PBFunction) -> TwoSpinVerdict:
     ints, scale = _wht(f.table)
     f01 = Fraction(ints[1], 4 * scale)
     f10 = Fraction(ints[2], 4 * scale)
-    trivial = is_trivial_binary(f)
-    lsm = is_lsm(f)
-    monotone = is_monotone(f)
-    flip_monotone = is_monotone(bit_flip(f))
+    # One read of the ratios for the four order tests; the flip's are reversed.
+    p, q = _ratios(f)
+    trivial = _trivial_binary(p, q)
+    lsm, _ = _lattice_order(p, q)
+    monotone = _monotone_on(p, q, range(4))
+    flip_monotone = _monotone_on(p[::-1], q[::-1], range(4))
     note = ""
     if trivial:
         tag = TwoSpinTag.FP_TRIVIAL

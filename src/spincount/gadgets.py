@@ -32,10 +32,15 @@ from .funcs import (
     PropertyReport,
     _SLICE_BITS,
     _check_arity,
+    _join_closed,
+    _monotone_on,
+    _nonzero,
+    _pure,
     _ratios,
     _rises,
     _sum_product,
     _sum_product_count,
+    _unchecked,
     bits_of,
     bit_flip,
     fourier,
@@ -43,8 +48,6 @@ from .funcs import (
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,
     is_lsm,
-    is_monotone_on_support,
-    is_support_join_closed,
     is_trivial_binary,
     permute,
     property_report,
@@ -101,10 +104,13 @@ def eval_pps(formula: PpsFormula, registry: Mapping[str, PBFunction]) -> PBFunct
         if name not in registry:
             raise ValueError(f"formula names unknown function {name!r}")
         fn = registry[name]
+        if not isinstance(fn, PBFunction):
+            raise ValueError(f"atom {name} names a {type(fn).__name__}, not a PBFunction")
         if fn.arity != len(scope):
             raise ValueError(f"atom {name} has arity {fn.arity} but scope {scope}")
         atoms.append((fn.table, scope))
-    return PBFunction(nf, _sum_product(nf, nf + nb, atoms))
+    # Sums of products of PBFunction entries: 2**nf nonnegative Fractions.
+    return _unchecked(PBFunction, nf, _sum_product(nf, nf + nb, atoms))
 
 
 def serialize_pps(formula: PpsFormula) -> str:
@@ -491,46 +497,59 @@ class PinningVerdict:
         else:
             # FlippedMonotoneFamily is MonotoneFamily of the bit-flipped family.
             flipped = self.tag is PinningTag.FLIPPED_MONOTONE_FAMILY
-            family = [bit_flip(f) for f in self.family] if flipped else self.family
+            members = [_with_flip(f)[::-1] if flipped else _with_flip(f) for f in self.family]
             what = f"{self.tag.value} needs every {'flipped ' if flipped else ''}function"
-            if not all(is_monotone_on_support(f) for f in family):
+            if not all(_monotone_on(*own) for own, _ in members):
                 raise GadgetError(f"{what} monotone on its support")
-            if not all(is_support_join_closed(f) for f in family):
+            if not all(_join_closed(own[2]) for own, _ in members):
                 raise GadgetError(f"{what} to have a join-closed support")
             w = self.witness_index
-            if w is None or not 0 <= w < len(family) or is_monotone_on_support(bit_flip(family[w])):
+            if w is None or not 0 <= w < len(members) or _monotone_on(*members[w][1]):
                 raise GadgetError(f"{self.tag.value} needs a witness whose flip is not monotone on support")
 
 
-def _unary_on_chain(i: int, f: PBFunction, rising: bool) -> tuple[PBFunction, PpsFormula]:
+_Orders = tuple[list[int], list[int], list[int]]
+
+
+def _with_flip(f: PBFunction) -> tuple[_Orders, _Orders]:
+    """f's numerators, denominators and support as indices, then its flip's: the
+    lists reversed and the support at 2**k - 1 - i, from one read of f."""
+    p, q = _ratios(f)
+    points = _nonzero(p)
+    top = len(p) - 1
+    return (p, q, points), (p[::-1], q[::-1], [top - i for i in reversed(points)])
+
+
+def _unary_on_chain(i: int, f: PBFunction, orders: _Orders, rising: bool) -> tuple[PBFunction, PpsFormula]:
     """The unary (f(a), f(b)) at the least pair a <= b with 0 < f(a) < f(b) if
-    rising, else f(a) > f(b) > 0, named f{i}.
+    rising, else f(a) > f(b) > 0, named f{i}; ``orders`` are f's from ``_with_flip``.
 
     The rising pair exists iff flip(f) is not monotone on its support, and
     the falling one iff f is not.
     """
-    p, q = _ratios(f)
+    p, q, _ = orders
     pair = _first_pair(f, lambda a, b: (a & b) == a and (_rises(p, q, a, b) if rising else _rises(p, q, b, a)))
     assert pair is not None
     t = f.table
-    return PBFunction(1, (t[pair[0]], t[pair[1]])), _pin_identify_formula(f"f{i}", f, pair, 1)
+    # Two entries of a PBFunction.
+    return _unchecked(PBFunction, 1, (t[pair[0]], t[pair[1]])), _pin_identify_formula(f"f{i}", f, pair, 1)
 
 
 def _case2(
-    family: Sequence[PBFunction],
+    family: Sequence[PBFunction], orders: Sequence[_Orders], wi: int
 ) -> Union[int, tuple[PBFunction, PpsFormula, PBFunction, PpsFormula]]:
-    """Every member monotone on its support, some flip not.
+    """Every member monotone on its support, and member wi's flip the first not.
 
-    Returns the index of the first member whose flip is not monotone on its
-    support when every support is join-closed (a monotone family), else the
-    built (up, up_formula, down, down_formula).
+    ``orders`` holds each member's from ``_with_flip``.  Returns wi when every
+    support is join-closed (a monotone family), else the built (up,
+    up_formula, down, down_formula).
     """
-    wi = next(i for i, f in enumerate(family) if not is_monotone_on_support(bit_flip(f)))
-    if all(is_support_join_closed(f) for f in family):
+    closed = [_join_closed(points) for _, _, points in orders]
+    if all(closed):
         return wi
-    up, up_formula = _unary_on_chain(wi, family[wi], True)
-    gi, g = next((i, f) for i, f in enumerate(family) if not is_support_join_closed(f))
-    p, _ = _ratios(g)
+    up, up_formula = _unary_on_chain(wi, family[wi], orders[wi], True)
+    gi = closed.index(False)
+    g, p = family[gi], orders[gi][0]
     pair = _first_pair(g, lambda a, b: p[a] != 0 and p[b] != 0 and p[a | b] == 0)
     assert pair is not None
     h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)
@@ -552,17 +571,22 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
     is case 2 run on the bit-flipped family and read back through the flip.
     """
     family = tuple(family)
-    mos = [is_monotone_on_support(f) for f in family]
-    mos_flip = [is_monotone_on_support(bit_flip(f)) for f in family]
+    members = [_with_flip(f) for f in family]
+    mos = [_monotone_on(*own) for own, _ in members]
+    mos_flip = [_monotone_on(*flip) for _, flip in members]
     if not all(mos) and not all(mos_flip):
         fi, gi = mos.index(False), mos_flip.index(False)
-        down, down_formula = _unary_on_chain(fi, family[fi], False)
-        up, up_formula = _unary_on_chain(gi, family[gi], True)
+        down, down_formula = _unary_on_chain(fi, family[fi], members[fi][0], False)
+        up, up_formula = _unary_on_chain(gi, family[gi], members[gi][0], True)
         return PinningVerdict(PinningTag.BOTH_UNARIES, 1, family, up, down, up_formula, down_formula)
     if all(mos) != all(mos_flip):
         flipped = all(mos_flip)
         case = 3 if flipped else 2
-        result = _case2(tuple(bit_flip(f) for f in family) if flipped else family)
+        # The flipped family's flips are the members themselves.
+        if flipped:
+            result = _case2(tuple(map(bit_flip, family)), [flip for _, flip in members], mos.index(False))
+        else:
+            result = _case2(family, [own for own, _ in members], mos_flip.index(False))
         if isinstance(result, int):
             tag = PinningTag.FLIPPED_MONOTONE_FAMILY if flipped else PinningTag.MONOTONE_FAMILY
             return PinningVerdict(tag, case, family, witness_index=result)
@@ -573,10 +597,12 @@ def pinning_analysis(family: Sequence[PBFunction]) -> PinningVerdict:
                 bit_flip(down), _flip_deltas(down_formula), bit_flip(up), _flip_deltas(up_formula)
             )
         return PinningVerdict(PinningTag.BOTH_UNARIES, case, family, up, down, up_formula, down_formula)
-    if all(pure_value(f)[0] for f in family):
+    pure = [_pure(*own) for own, _ in members]
+    if all(pure):
         return PinningVerdict(PinningTag.ALL_PURE, 4, family)
-    gi, g = next((i, f) for i, f in enumerate(family) if not pure_value(f)[0])
-    p, q = _ratios(g)
+    gi = pure.index(False)
+    g = family[gi]
+    p, q, _ = members[gi][0]
     pair = _first_pair(g, lambda a, b: _rises(p, q, a, b))
     assert pair is not None
     h_formula = _pin_identify_formula(f"f{gi}", g, pair, 2)

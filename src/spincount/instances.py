@@ -38,11 +38,11 @@ import heapq
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .funcs import (
     ARITY_CAP,
@@ -56,6 +56,7 @@ from .funcs import (
     _integer_atoms,
     _map_axes,
     _sum_product_count,
+    _unchecked,
     parse_rational,
     product_form,
     table_text,
@@ -79,7 +80,6 @@ __all__ = [
 ]
 
 Table = Union[PBFunction, SignedTable]
-_T = TypeVar("_T")
 
 # z_exact's bound on the products of the plan it keeps, a time guard: at
 # 0.06-0.2 us per product on tables of small ints and 0.3-0.55 us on the long
@@ -136,19 +136,6 @@ def _check_names(kind: str, names: Sequence[str]) -> None:
     for name in names:
         if not _NAME_OK.fullmatch(name):
             raise InstanceError(f"bad {kind} name {name!r}")
-
-
-def _unchecked(cls: type[_T], *values: object) -> _T:
-    """``cls(*values)`` without its ``__post_init__`` checks.
-
-    Public constructors check what enters the library.  A library step whose
-    output is valid by how the step builds it calls this instead; it passes
-    tuples, as ``__post_init__`` would have made them, and says why the checks
-    would pass.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip([f.name for f in fields(cls)], values, strict=True))
-    return obj
 
 
 def _slots(constraints: Iterable[tuple[Sequence[str], str]]) -> Iterator[str]:

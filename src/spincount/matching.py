@@ -36,6 +36,7 @@ from .funcs import (
     PBFunction,
     Rational,
     SignedTable,
+    _unchecked,
     bit_flip,
     bits_of,
     fourier,
@@ -49,7 +50,6 @@ from .instances import (
     InstanceError,
     _fresh_name,
     _slots,
-    _unchecked,
     to_holant,
     z_exact,
 )

@@ -33,18 +33,21 @@ from spincount.funcs import (
     index_of,
     inverse_fourier,
     irredundant,
+    is_affine_relation,
     is_log_modular,
     is_lsm,
     is_monotone,
     is_monotone_on_support,
     is_pin_monotone,
     is_product_type,
+    is_support_join_closed,
     is_trivial_binary,
     permute,
     pin,
     product,
     product_form,
     property_report,
+    pure_value,
     sum_out,
     support,
     unary,
@@ -265,6 +268,33 @@ def test_bit_flip_reverses_table_order_respecting_bit_positions():
     assert bit_flip(f).table == (4, 3, 2, 1)
 
 
+def test_bit_flip_equals_its_checked_rebuild():
+    """bit_flip builds its result unchecked; it equals the checked constructor's."""
+    for f in _ORDER_TABLES:
+        flipped = bit_flip(f)
+        rebuilt = PBFunction(f.arity, tuple(reversed(f.table)))
+        assert flipped == rebuilt and type(flipped) is PBFunction
+        assert hash(flipped) == hash(rebuilt)
+        assert bit_flip(flipped) == f
+
+
+@pytest.mark.parametrize("kind", [PBFunction, SignedTable])
+def test_public_constructors_still_check(kind):
+    with pytest.raises(ValueError, match="arity"):
+        kind(-1, (Fraction(1),))
+    with pytest.raises(ValueError, match="arity"):
+        kind(1.0, (Fraction(1), Fraction(2)))
+    with pytest.raises(ValueError, match="needs 4 values, got 3"):
+        kind(2, (Fraction(1),) * 3)
+    with pytest.raises(ValueError, match="needs 2 values, got 4"):
+        kind(1, (Fraction(1),) * 4)
+    if kind is PBFunction:
+        with pytest.raises(ValueError, match="negative entry"):
+            kind(2, (Fraction(1), Fraction(0), Fraction(-1, 3), Fraction(2)))
+    else:
+        assert kind(1, (Fraction(-1), Fraction(2))).table == (-1, 2)
+
+
 def test_permute_swaps_arguments():
     f = binary(1, 2, 3, 4)
     assert permute(f, (1, 0)).table == (1, 3, 2, 4)
@@ -442,6 +472,38 @@ def test_predicate_outputs_frozen():
     for _ in range(300):
         digest.update(repr(pinning_analysis(rng.sample(small, rng.randint(1, 3)))).encode())
     assert digest.hexdigest() == "8b26da6ae9600d2c7a53f0da2783b88f497ddcb6e60d701c22be46236d04ec2f"
+
+
+# Beside the seeded tables: arities 0 and 1, the all-zero table and one nonzero entry.
+_EDGE_TABLES = [
+    PBFunction.from_values(0, ("3/4",)),
+    PBFunction.from_values(0, (0,)),
+    unary("2/3", 0),
+    PBFunction.from_values(3, (0,) * 8),
+    PBFunction.from_values(3, (0, 0, 0, 0, 0, "5/7", 0, 0)),
+]
+
+
+def test_property_report_agrees_with_each_predicate():
+    """The report reads a table once and the public predicates each read it
+    again; every field must give the predicate's answer."""
+    for f in _ORDER_TABLES + _EDGE_TABLES:
+        report = property_report(f)
+        assert report.lsm is is_lsm(f), f.table
+        assert report.log_modular is is_log_modular(f), f.table
+        assert report.monotone is is_monotone(f), f.table
+        assert report.monotone_on_support is is_monotone_on_support(f), f.table
+        assert report.support_join_closed is is_support_join_closed(f), f.table
+        assert report.affine_support is is_affine_relation(support(f)), f.table
+        assert report.in_cp is in_cp(f), f.table
+        assert report.in_sdp3 is in_sdp3(f), f.table
+        assert (report.pure, report.pure_value) == pure_value(f), f.table
+        if f.arity == 2:
+            verdict = classify_two_spin(f)
+            assert verdict.lsm is is_lsm(f), f.table
+            assert verdict.monotone is is_monotone(f), f.table
+            assert verdict.flip_monotone is is_monotone(bit_flip(f)), f.table
+            assert verdict.trivial is report.trivial is is_trivial_binary(f), f.table
 
 
 def test_lsm_fast_on_distinct_prime_denominators():

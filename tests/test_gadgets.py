@@ -20,6 +20,7 @@ from spincount.funcs import (
     IMP,
     CapacityError,
     PBFunction,
+    SignedTable,
     binary,
     is_decreasing_permissive_unary,
     is_increasing_permissive_unary,
@@ -62,6 +63,28 @@ def test_pps_serialize_parse_round_trip():
 def test_eval_pps_rejects_unknown_function():
     with pytest.raises(ValueError):
         eval_pps(PpsFormula(1, 0, (("nope", (0,)),)), {})
+
+
+def test_eval_pps_rejects_a_signed_atom():
+    """eval_pps builds its output unchecked, so a signed atom is refused at the door."""
+    with pytest.raises(ValueError, match="not a PBFunction"):
+        eval_pps(PpsFormula(1, 0, (("s", (0,)),)), {"s": SignedTable(1, (1, -1))})
+
+
+def test_pinning_unaries_equal_their_checked_rebuilds():
+    """pinning_analysis builds its unaries unchecked, through eval_pps, the chain
+    pairs and bit flips; each equals the checked constructor's."""
+    rng = random.Random(1001)
+    cases = set()
+    for _ in range(600):
+        family = [rand_function(rng, rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        verdict = pinning_analysis(family)
+        if verdict.tag is PinningTag.BOTH_UNARIES:
+            cases.add(verdict.case)
+            for u in (verdict.up, verdict.down):
+                rebuilt = PBFunction(u.arity, u.table)
+                assert u == rebuilt and type(u) is PBFunction and hash(u) == hash(rebuilt)
+    assert cases == {1, 2, 3, 4}
 
 
 def _no_tables(*args):

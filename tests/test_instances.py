@@ -7,7 +7,6 @@ import math
 import random
 import re
 import time
-import timeit
 from fractions import Fraction
 
 import pytest
@@ -61,6 +60,7 @@ from helpers import (
     rand_product_type,
     rand_wtilde,
     rand_wtilde_cp,
+    speed_reference,
 )
 
 PRISM_TEXT = "fun xor3 3 1 0 0 1 0 1 1 0\ncon xor3 a b c\ncon xor3 a b c\n"
@@ -741,15 +741,33 @@ def test_z_exact_on_a_3_regular_graph_under_two_namings(seed):
     assert _assert_within(5, lambda: z_exact(by_number)) == _assert_within(5, lambda: z_exact(by_use))
 
 
+def _cpu_seconds(call) -> float:
+    start = time.process_time()
+    call()
+    return time.process_time() - start
+
+
 @pytest.mark.parametrize("shape", ["ring", "star"])
 def test_planning_a_long_ring_and_a_wide_star_is_fast(shape):
-    """z_exact plans a 4000-ring and a 4001-vertex star in at most 50 ms each (best of 3)."""
+    """z_exact plans a 4000-ring and a 4001-vertex star each within 3.4 runs of
+    ``speed_reference``, the best of 5 of each, interleaved, in CPU time.
+
+    Other processes on the host take no CPU time from this one, and a slower
+    phase of the host slows the reference as much as the plan.  On a 2-vCPU
+    Xeon VM (Python 3.11) the reference took 12.8-14.7 ms at the host's usual
+    speed, where 3.4 of it is at most the 50 ms this gate allowed as wall
+    time, and about 20 ms in its slow phases.  The plans took 1.7-2.3 of it,
+    idle and with three busy processes on the two cores.
+    """
     if shape == "ring":
         n, scopes = 4000, [(i, (i + 1) % 4000) for i in range(4000)]
     else:
         n, scopes = 4001, [(0, i) for i in range(1, 4001)]
-    best = min(timeit.repeat(lambda: instances._plan(n, scopes), number=1, repeat=3))
-    assert best <= 0.05
+    plans, references = [], []
+    for _ in range(5):
+        references.append(_cpu_seconds(speed_reference))
+        plans.append(_cpu_seconds(lambda: instances._plan(n, scopes)))
+    assert min(plans) <= 3.4 * min(references)
 
 
 def test_min_fill_stops_on_a_core_too_wide_for_the_budget():
