@@ -28,8 +28,6 @@ from .funcs import (
     _ratios,
     _trivial_binary,
     _wht,
-    bit_flip,
-    in_cp,
     is_and_or_closed,
     is_affine_relation,
     is_lsm,
@@ -109,11 +107,9 @@ def classify_two_spin(f: PBFunction) -> TwoSpinVerdict:
         else:
             tag = TwoSpinTag.FPRAS
             # Consistency: the FPRAS region sits inside the nonnegative
-            # Fourier cone after at most one bit flip.
-            if ints[1] >= 0 and ints[2] >= 0:
-                assert in_cp(f)
-            else:
-                assert in_cp(bit_flip(f))
+            # Fourier cone after at most one bit flip, which negates the
+            # odd-weight coefficients.
+            assert min(ints) >= 0 or min(ints[0], -ints[1], -ints[2], ints[3]) >= 0
     elif not monotone and not flip_monotone:
         tag = TwoSpinTag.NO_FPRAS
     else:

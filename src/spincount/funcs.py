@@ -22,10 +22,12 @@ each atom is read through an index list over a slice of at most
 one atom at a time into a list per slice, and the bound variables summed out
 by ``map(add, ...)``.  In a slice large enough to pay for it, the atoms go in
 decreasing order of their last variable and each bound variable is summed
-out as soon as no atom left reads it, so later atoms multiply shorter lists;
-``_sum_product_count`` counts the products that takes.  Its memory is a few
-lists of one slice, however many variables are summed out or atoms multiplied.
-``instances.z_exact`` calls it directly and keeps its messages as ints;
+out as soon as no atom left reads it, so later atoms multiply shorter lists.
+The kernel's memory is a few lists of one slice, however many variables are
+summed out or atoms multiplied.  ``_sum_product_count`` counts the products it
+takes, the one price of a call: ``instances._plan`` ranks its candidate plans
+and ``gadgets.eval_pps`` checks its budget by it, with no bound of their own.
+``instances.z_exact`` calls the kernel directly and keeps its messages as ints;
 ``_sum_product`` is its Fraction front end for the clone operations below and
 ``gadgets.eval_pps``; ``_map_axes`` maps one axis per call through it for
 ``instances.holographic_transform``.
@@ -155,7 +157,7 @@ class _Table:
 
     @classmethod
     def from_values(cls: type[_TableT], arity: int, values: Iterable[Rational]) -> _TableT:
-        return cls(arity, tuple(frac(v) for v in values))
+        return cls(arity, tuple(values))
 
     def __call__(self, bits: Sequence[int]) -> Fraction:
         if len(bits) != self.arity:
@@ -358,7 +360,8 @@ def _int_sum_product(
 
 def _sum_product_count(n_free: int, n_vars: int, scopes: Iterable[Sequence[int]], limit: int) -> int:
     """The products ``_int_sum_product`` takes on atoms of these scopes, slices
-    included: exact up to ``limit``, and once past it, the count so far.
+    included: exact up to ``limit``, and once past it, the count so far, or
+    ``limit + 1`` at an atom whose span alone passes ``limit``'s bit length.
 
     An atom multiplies one entry per assignment of the variables its list
     spans, 2**span products over all slices.  Its span is n_vars, or, where
@@ -367,6 +370,7 @@ def _sum_product_count(n_free: int, n_vars: int, scopes: Iterable[Sequence[int]]
     """
     floor = max(n_free, n_vars - _SLICE_BITS)
     reorder = n_vars >= _REORDER_BITS and n_vars - floor > 1
+    bits = limit.bit_length()
     products = 0
     span = n_vars
     for scope in scopes:
@@ -374,6 +378,8 @@ def _sum_product_count(n_free: int, n_vars: int, scopes: Iterable[Sequence[int]]
             span = max(scope) + 1 if scope else 0
             if span < floor:
                 span = floor
+        if span > bits:
+            return limit + 1
         products += 1 << span
         if products > limit:
             break

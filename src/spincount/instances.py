@@ -20,13 +20,12 @@ Variables are declared implicitly on first use.  An arity past
 
 ``z_exact`` answers by bucket elimination at any size whose plan is predicted
 to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
-before building any table past it.  ``_plan`` picks the plan by predicted
-cost, products plus ``_STEP`` per kernel call, from one whole-table step and
-the per-variable plans that ``_greedy_plan`` builds, as kernel calls, along
-greedy min-degree and min-fill orders; every step runs in the one kernel
-``_int_sum_product``, which sums each variable of the whole-table step out
-once no later atom reads it, and ``funcs._sum_product_count`` charges that
-step the products the kernel takes.
+before building any table past it.  ``_plan`` ranks one whole-table step
+and the per-variable plans that ``_greedy_plan`` builds, as kernel calls,
+along greedy min-degree and min-fill orders, in one list by predicted cost:
+products plus ``_STEP`` per kernel call.  Every step runs in the one kernel
+``_int_sum_product``, and each is priced at the products
+``funcs._sum_product_count`` gives for it.
 ``near_assignment_total`` refuses instances of more than ``NEAR_CAP``
 variables.  Both constants are read at call time.  Tables are scaled, summed
 and mapped in ``funcs`` alone.
@@ -87,8 +86,8 @@ Table = Union[PBFunction, SignedTable]
 # cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  It counts
 # products only, not _STEP.  A per-variable step costs at least twice its
 # table's size.  The whole-table step returns one entry and keeps at most one
-# slice, 2**_SLICE_BITS entries, however early it sums its variables out.  So
-# no table holds more than ELIMINATION_BUDGET / 2 entries.
+# of the kernel's slices, 2**12 entries, however early it sums its variables
+# out.  So no table holds more than ELIMINATION_BUDGET / 2 entries.
 ELIMINATION_BUDGET = 1 << 22
 # The fixed cost of a kernel call, in products, that z_exact charges each step
 # when it compares plans.  Measured on the same host, with the whole-table
@@ -459,49 +458,40 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[
     bucket lists (atom, scope over the step's variables) pairs, where atoms
     are the scopes, then each step's message over its free variables.
 
-    Each of the n variables is in some scope.  The candidates are one step
-    that sums all m atoms of nonempty scope over the n variables, at the
-    products ``_sum_product_count`` gives (the kernel sums each variable out
-    once no later atom reads it), then ``_greedy_plan``'s min-degree plan and,
-    past ``_FILL_FROM`` min-degree products, its min-fill plan up to one
-    product fewer.  Each is charged its products plus ``_STEP`` per kernel
-    call, and the cheapest within ``ELIMINATION_BUDGET`` is kept, the earlier
-    on a tie.  The single step is taken without planning the others when its
-    products are at most ``_STEP * n``, the fixed cost alone of the n calls of
-    any per-variable plan.  Its products lie between 2**n and m * 2**n, and
-    are counted only where those bounds leave a comparison open, and then only
-    up to the limit it is compared with.  With none within the budget this
-    raises CapacityError, before any table is built, naming the order that had
+    Each of the n variables is in some scope.  The candidates, in order, are
+    one step that sums all m atoms of nonempty scope over the n variables, at
+    the products ``_sum_product_count`` gives (the kernel sums each variable
+    out once no later atom reads it), then ``_greedy_plan``'s min-degree plan
+    and, past ``_FILL_FROM`` min-degree products, its min-fill plan up to one
+    product fewer.  Each within ``ELIMINATION_BUDGET`` is charged its products
+    plus ``_STEP`` per kernel call, and the first of least charge is kept.
+    The single step is taken without planning the others when its products
+    are at most ``_STEP * n``, the fixed cost alone of the n calls of any
+    per-variable plan.  With none within the budget this raises
+    CapacityError, before any table is built, naming the order that had
     counted fewer products.
     """
     budget = ELIMINATION_BUDGET
     # The single step's variables are 0..n-1 in order, so its atoms keep their scopes.
     atoms = [(atom, scope) for atom, scope in enumerate(scopes) if scope]
     single = [(0, n, atoms)]
-    # Its products are at most m * 2**n, and at least 2**n, those of an atom
-    # reading variable n - 1; it is counted only where neither bound decides.
     limit = min(budget, _STEP * n)
+    # Its products are at most m * 2**n.
     if len(atoms) << n <= limit:
         return single
-    kept = [scope for _, scope in atoms]
-    least = 1 << n
-    if least <= limit:
-        if _sum_product_count(0, n, kept, limit) <= limit:
-            return single
-        least = limit + 1
+    products = _sum_product_count(0, n, [scope for _, scope in atoms], budget)
+    if products <= limit:
+        return single
+    plans = [(products + _STEP, single)] if products <= budget else []
     degree = _greedy_plan(n, scopes, budget, False)
     orders = [("min-degree", degree)]
     if degree[0] > _FILL_FROM:
         orders.append(("min-fill", _greedy_plan(n, scopes, min(degree[0] - 1, budget), True)))
-    plans = [(count + _STEP * len(plan), plan) for _, (count, _, plan) in orders if plan is not None]
-    # The single step is kept if it is within the budget and costs no more.
-    limit = min([budget] + [charge - _STEP for charge, _ in plans])
-    if least <= limit and _sum_product_count(0, n, kept, limit) <= limit:
-        return single
+    plans += [(count + _STEP * len(plan), plan) for _, (count, _, plan) in orders if plan is not None]
     if not plans:
         name, (count, width, _) = min(orders, key=lambda order: order[1][0])
         raise CapacityError(f"elimination needs {count}+ products ({name}, width {width}), past {budget}")
-    return min(plans, key=lambda charged: charged[0])[1]
+    return min(plans, key=itemgetter(0))[1]
 
 
 def z_exact(inst: CspInstance) -> Fraction:

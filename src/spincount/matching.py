@@ -365,19 +365,15 @@ def _bundles(g: WeightedMultigraph) -> dict[tuple[int, int], Fraction]:
     return bundles
 
 
-def _adjacency(g: WeightedMultigraph) -> list[list[tuple[int, Fraction]]]:
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in g.vertices]
-    for (a, b), w in sorted(_bundles(g).items()):
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    return adj
-
-
-def _count_with_holes(g: WeightedMultigraph, holes: int) -> Fraction:
-    n = len(g.vertices)
+def _count_with_holes(n: int, bundles: dict[tuple[int, int], Fraction], holes: int) -> Fraction:
+    """Total weight of the matchings of vertices 0..n-1 joined by these bundles
+    that leave exactly ``holes`` vertices unmatched."""
     if n > EXACT_CAP:
         raise CapacityError(f"{n} vertices exceeds the matching-count cap {EXACT_CAP}")
-    adj = _adjacency(g)
+    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for (a, b), w in sorted(bundles.items()):
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     memo: dict[tuple[int, int], Fraction] = {}
 
     def visit(mask: int, k: int) -> Fraction:
@@ -401,12 +397,12 @@ def _count_with_holes(g: WeightedMultigraph, holes: int) -> Fraction:
 
 def count_pm_exact(g: WeightedMultigraph) -> Fraction:
     """Total weight of perfect matchings; self-loops never participate."""
-    return _count_with_holes(g, 0)
+    return _count_with_holes(len(g.vertices), _bundles(g), 0)
 
 
 def count_npm_exact(g: WeightedMultigraph) -> Fraction:
     """Total weight of matchings leaving exactly two vertices unmatched."""
-    return _count_with_holes(g, 2)
+    return _count_with_holes(len(g.vertices), _bundles(g), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +546,6 @@ def _maximum_matching(n: int, bundles: dict[tuple[int, int], Fraction]) -> Optio
     return arr
 
 
-def _graph_from_bundles(n: int, bundles: dict[tuple[int, int], Fraction]) -> WeightedMultigraph:
-    names = tuple(f"v{i}" for i in range(n))
-    edges = tuple(Edge(names[a], names[b], w, "plain") for (a, b), w in sorted(bundles.items()))
-    return WeightedMultigraph(names, edges)
-
-
 def _condition_level(
     n: int,
     bundles: dict[tuple[int, int], Fraction],
@@ -656,8 +646,7 @@ def estimate_pm(g: WeightedMultigraph, cfg: EstimatorConfig) -> Fraction:
         result *= factor
         n -= 2
         level += 1
-    base = _graph_from_bundles(n, bundles)
-    return result * count_pm_exact(base)
+    return result * _count_with_holes(n, bundles, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_eval_pps_charges_the_products_the_kernel_takes(monkeypatch):
         eval_pps(path(21), {"f": f})
 
 
+def test_eval_pps_refuses_a_billion_variables_before_any_table(monkeypatch):
+    """One atom over 10**9 variables is refused on the count alone, before the
+    sum builds a table."""
+    monkeypatch.setattr(gadgets, "_sum_product", _no_tables)
+    with pytest.raises(CapacityError, match="products"):
+        eval_pps(PpsFormula(0, 10**9, (("f", (0, 1)),)), {"f": binary(2, 1, 1, 2)})
+
+
 def test_eval_pps_memory_stays_within_a_slice():
     """pps 1 16 sums 2**17 assignments of two atoms.  The kernel expands
     2**_SLICE_BITS of them at a time, so the traced peak stays far below the

@@ -584,14 +584,14 @@ def test_greedy_plans_match_a_naive_recount():
 
 
 def test_plan_keeps_the_cheapest_candidate():
-    """_plan's bounds on the single step's products, m * 2**n above and 2**n
-    below, decide as its full count does.  On 801 lists of scopes over
-    1-14 used variables, rings and dense graphs among them, _plan must return
-    the single step when its products are at most min(budget, _STEP * n)
-    (the rule), or are within the budget and no more than every per-variable
-    plan's charge less _STEP (compared); otherwise the cheapest per-variable
-    plan, min-degree on a tie.  The first list takes 1170 products in one
-    step, within the rule's 1280 and near the lower bound 2**10."""
+    """_plan's one ranked list of charged candidates decides as the rules
+    below do.  On 801 lists of scopes over 1-14 used variables, rings and
+    dense graphs among them, _plan must return the single step when its
+    products are at most min(budget, _STEP * n) (the rule), or are within the
+    budget and no more than every per-variable plan's charge less _STEP, so
+    that it ranks first on a tie (compared); otherwise the cheapest
+    per-variable plan, min-degree on a tie.  The first list takes 1170
+    products in one step, within the rule's 1280 though m * 2**n is 4096."""
     rng = random.Random(2424)
     budget = instances.ELIMINATION_BUDGET
     outcomes = {"rule": 0, "compared": 0, "per-variable": 0}
@@ -623,6 +623,63 @@ def test_plan_keeps_the_cheapest_candidate():
         assert instances._plan(n, scopes) == want, scopes
         outcomes[outcome] += 1
     assert outcomes["rule"] > 100 and outcomes["compared"] > 5 and outcomes["per-variable"] > 100
+
+
+def _priced(plan) -> int:
+    """The products ``_sum_product_count`` gives a plan, summed over its kernel calls."""
+    return sum(_sum_product_count(nf, nv, [scope for _, scope in bucket], 1 << 60) for nf, nv, bucket in plan)
+
+
+def test_every_candidate_is_priced_by_the_one_count(monkeypatch):
+    """Each candidate _plan ranks is predicted the products that
+    ``_sum_product_count`` gives summed over its kernel calls: the single step
+    at the count _plan takes for it, and ``_greedy_plan``'s min-degree and
+    min-fill plans at their inline a * 2**(w + 1) per step.  On 300 seeded
+    lists of 1-14 used variables, and on an 8x30 grid past ``_FILL_FROM``,
+    whose min-fill plan _plan keeps."""
+    count = instances._sum_product_count
+    counted: list[int] = []
+
+    def recording(*args):
+        counted.append(count(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(instances, "_sum_product_count", recording)
+    rng = random.Random(2828)
+    drawn = []
+    for i in range(300):
+        n = rng.randint(1, 14)
+        if i % 3 == 0:
+            drawn.append([(v, (v + 1) % n) for v in range(n)])
+        else:
+            drawn.append([tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(1, 2 * n))])
+    drawn.append([(30 * i + j, 30 * i + j + 1) for i in range(8) for j in range(29)])
+    drawn[-1] += [(30 * i + j, 30 * i + j + 30) for i in range(7) for j in range(30)]
+    kept = {"single": 0, "min-degree": 0, "min-fill": 0}
+    for scopes in drawn:
+        used = sorted({v for scope in scopes for v in scope})
+        index = {v: k for k, v in enumerate(used)}
+        n, scopes = len(used), [tuple(index[v] for v in scope) for scope in scopes]
+        greedy = {}
+        for name, by_fill in (("min-degree", False), ("min-fill", True)):
+            products, _, plan = instances._greedy_plan(n, scopes, 1 << 60, by_fill)
+            assert products == _priced(plan), (name, scopes)
+            greedy[name] = plan
+        del counted[:]
+        plan = instances._plan(n, scopes)
+        if counted:
+            single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
+            assert len(counted) == 1
+            assert counted[0] == _priced(single) or counted[0] > instances.ELIMINATION_BUDGET < _priced(single)
+        if plan == greedy["min-fill"] != greedy["min-degree"]:
+            kept["min-fill"] += 1
+        elif len(plan) == 1 and counted and n > 1:
+            kept["single"] += 1
+        elif plan == greedy["min-degree"]:
+            kept["min-degree"] += 1
+    assert kept["single"] > 20 and kept["min-degree"] > 20 and kept["min-fill"] >= 1
+    # greedy holds the plans of the grid, the last list drawn.
+    assert instances._plan(240, drawn[-1]) == greedy["min-fill"] != greedy["min-degree"]
 
 
 def _kernel_calls(monkeypatch) -> list[int]:

@@ -561,18 +561,19 @@ def test_estimate_pm_sampling_tracks_exact(monkeypatch):
 
 
 def test_estimate_pm_counts_exactly_only_within_exact_cap(monkeypatch):
-    """The telescoping base is EXACT_CAP, the cap count_pm_exact checks; nothing
-    counts a larger graph exactly.  The value is frozen from a run that set the
-    base size to 4 through a config field."""
+    """The telescoping base is EXACT_CAP, the cap the exact count checks;
+    nothing counts a larger graph exactly.  The value is frozen from a run that
+    set the base size to 4 through a config field."""
     g = _random_multigraph8()
     sizes = []
+    count = matching._count_with_holes
 
-    def counting(base):
-        sizes.append(len(base.vertices))
-        return count_pm_exact(base)
+    def counting(n, bundles, holes):
+        sizes.append(n)
+        return count(n, bundles, holes)
 
     monkeypatch.setattr(matching, "EXACT_CAP", 4)
-    monkeypatch.setattr(matching, "count_pm_exact", counting)
+    monkeypatch.setattr(matching, "_count_with_holes", counting)
     assert estimate_pm(g, EstimatorConfig(seed=7)) == Fraction(34560000, 84001)
     assert sizes and max(sizes) <= 4
     with pytest.raises(CapacityError):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -198,6 +200,23 @@ def test_sum_product_count_matches_a_naive_recount():
             assert _sum_product_count(n_free, n_vars, scopes, want - 1) > want - 1
         reordered += want < len(scopes) << n_vars
     assert reordered > 100
+
+
+def test_sum_product_count_stops_at_a_span_past_the_limit():
+    """An atom whose span alone passes the limit's bit length makes the count
+    ``limit + 1`` at once: over 10**9 variables no 2**span is built, so the
+    call returns well within a second and allocates almost nothing."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert _sum_product_count(0, 10**9, [(0,)], 1 << 22) == (1 << 22) + 1
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1 and peak < 1 << 16
+    # A span at the bit length itself is still counted.
+    assert _sum_product_count(0, 23, [(22,), (0,)], 1 << 22) == 1 << 23
 
 
 def _functions(seed: int, count: int = 40):
