@@ -24,9 +24,9 @@ by ``map(add, ...)``.  In a slice large enough to pay for it, the atoms go in
 decreasing order of their last variable and each bound variable is summed
 out as soon as no atom left reads it, so later atoms multiply shorter lists.
 The kernel's memory is a few lists of one slice, however many variables are
-summed out or atoms multiplied.  ``_sum_product_count`` counts the products it
-takes, the one price of a call: ``instances._plan`` ranks its candidate plans
-and ``gadgets.eval_pps`` checks its budget by it, with no bound of their own.
+summed out or atoms multiplied.  ``_spans`` gives each atom's span to it and
+to ``_sum_product_count``, the one price of a call, which ``instances._plan``
+and ``gadgets.eval_pps`` hold to ``ELIMINATION_BUDGET``, read at call time.
 ``instances.z_exact`` calls the kernel directly and keeps its messages as ints;
 ``_sum_product`` is its Fraction front end for the clone operations below and
 ``gadgets.eval_pps``; ``_map_axes`` maps one axis per call through it for
@@ -284,7 +284,7 @@ def _index_list(weights: Sequence[int]) -> list[int]:
 
 
 def _int_sum_product(
-    n_free: int, n_vars: int, atoms: Iterable[tuple[Sequence[int], Sequence[int]]]
+    n_free: int, n_vars: int, atoms: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> list[int]:
     """Integer table over variables 0..n_free-1 of the atoms' product summed over the rest.
 
@@ -302,20 +302,15 @@ def _int_sum_product(
     variable, and sums each bound variable of the slice out as soon as no atom
     left reads it, so each later atom multiplies a list half as long.  A
     variable past every atom's last is read by none and doubles the sum.
-    ``_sum_product_count`` counts the products this takes.
+    ``_spans`` gives each atom's span and ``_sum_product_count`` the products.
     """
-    n_high = max(0, n_vars - _SLICE_BITS)
-    floor = n_free if n_free > n_high else n_high
-    reorder = n_vars >= _REORDER_BITS and n_vars - floor > 1
+    n_high = n_vars - _SLICE_BITS if n_vars > _SLICE_BITS else 0
+    spans = _spans(n_free, n_vars, atoms)
     columns = []
     span = n_vars
-    for table, scope in atoms:
-        if reorder:
-            # The list this atom multiplies spans its variables up to its last,
-            # and at least the free and the looped ones.
-            span = max(scope) + 1 if scope else 0
-            if span < floor:
-                span = floor
+    for i, (table, scope) in enumerate(atoms):
+        if spans:
+            span = spans[i]
         weights = [0] * span
         bit = 1 << len(scope)
         for v in scope:
@@ -330,7 +325,7 @@ def _int_sum_product(
             columns.append((span, table.__getitem__, (0,), _index_list(weights)))
     # The list spans variables 0..top-1 at the first atom and 0..last-1 after the last.
     top = last = n_vars
-    if reorder and columns:
+    if spans:
         columns.sort(key=itemgetter(0), reverse=True)
         top, last = columns[0][0], columns[-1][0]
 
@@ -358,26 +353,36 @@ def _int_sum_product(
     return [v << (n_vars - top) for v in out] if top < n_vars else out
 
 
-def _sum_product_count(n_free: int, n_vars: int, scopes: Iterable[Sequence[int]], limit: int) -> int:
-    """The products ``_int_sum_product`` takes on atoms of these scopes, slices
-    included: exact up to ``limit``, and once past it, the count so far, or
-    ``limit + 1`` at an atom whose span alone passes ``limit``'s bit length.
-
-    An atom multiplies one entry per assignment of the variables its list
-    spans, 2**span products over all slices.  Its span is n_vars, or, where
-    the kernel reorders, the variables up to its last, or the free and the
-    looped ones (n_vars - ``_SLICE_BITS``) if they reach further.
+def _spans(n_free: int, n_vars: int, atoms: Iterable[tuple[object, Sequence[int]]]) -> Optional[list[int]]:
+    """Each (_, scope) atom's span, the variables 0..span-1 of the list it
+    multiplies in ``_int_sum_product`` where the kernel reorders: up to its
+    last variable, or the free and looped ones (n_vars - ``_SLICE_BITS``) if
+    they reach further.  None where it does not, and every span is n_vars.
     """
-    floor = max(n_free, n_vars - _SLICE_BITS)
-    reorder = n_vars >= _REORDER_BITS and n_vars - floor > 1
+    floor = n_free if n_free > n_vars - _SLICE_BITS else n_vars - _SLICE_BITS
+    if n_vars < _REORDER_BITS or n_vars - floor < 2:
+        return None
+    lasts = [max(scope) + 1 if scope else 0 for _, scope in atoms]
+    return [last if last > floor else floor for last in lasts] if floor else lasts
+
+
+# The most products z_exact's plan or eval_pps's sum may take, read by both at
+# call time, a time guard: at 0.06-0.2 us per product on tables of small ints
+# and 0.3-0.55 us on the long ints of tables with denominators (2 cores,
+# Python 3.11, a shared host; cliques to grids), a plan at the budget runs in
+# about 0.25-2.3 s.  It counts products only, not instances._STEP.  No table
+# holds more than ELIMINATION_BUDGET / 2 entries: a per-variable step costs at
+# least twice its table's size, and a whole-table step keeps one slice.
+ELIMINATION_BUDGET = 1 << 22
+
+
+def _sum_product_count(n_free: int, n_vars: int, scopes: Sequence[Sequence[int]], limit: int) -> int:
+    """The products ``_int_sum_product`` takes on atoms of these scopes, 2**span
+    each (``_spans``): exact up to ``limit``, and once past it, the count so
+    far, or ``limit + 1`` at an atom whose span alone passes its bit length."""
     bits = limit.bit_length()
     products = 0
-    span = n_vars
-    for scope in scopes:
-        if reorder:
-            span = max(scope) + 1 if scope else 0
-            if span < floor:
-                span = floor
+    for span in _spans(n_free, n_vars, enumerate(scopes)) or repeat(n_vars, len(scopes)):
         if span > bits:
             return limit + 1
         products += 1 << span

@@ -13,6 +13,9 @@ Formula text format, 0-based variables, free variables first:
 Bound variables follow the free ones in the order they are introduced.  A
 formula built from smaller ones numbers each graft's bound variables after
 every variable placed before it, so the text of a composed witness is fixed.
+
+``eval_pps`` is priced and budgeted as ``instances.z_exact`` is, in ``funcs``,
+the one module of the package this one imports.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from . import instances
+from . import funcs
 from .funcs import (
     DELTA0,
     DELTA1,
@@ -85,12 +88,12 @@ def eval_pps(formula: PpsFormula, registry: Mapping[str, PBFunction]) -> PBFunct
     The sum is priced by ``_sum_product_count`` alone: the products the
     kernel takes, which sums each bound variable out once no later atom reads
     it, and for an atom-free formula one per assignment.  Past
-    ``instances.ELIMINATION_BUDGET`` products, or past ``ARITY_CAP`` free
-    variables, this raises CapacityError before any table is built.
+    ``funcs.ELIMINATION_BUDGET`` products (read at call time) or ``ARITY_CAP``
+    free variables, this raises CapacityError before building any table.
     """
     nf, nb = formula.n_free, formula.n_bound
     _check_arity(nf)
-    budget = instances.ELIMINATION_BUDGET
+    budget = funcs.ELIMINATION_BUDGET
     if formula.atoms:
         products = _sum_product_count(nf, nf + nb, [scope for _, scope in formula.atoms], budget)
     else:

@@ -19,16 +19,15 @@ Variables are declared implicitly on first use.  An arity past
 ``z_exact`` and ``holographic_transform``.
 
 ``z_exact`` answers by bucket elimination at any size whose plan is predicted
-to take at most ``ELIMINATION_BUDGET`` products, and raises CapacityError
-before building any table past it.  ``_plan`` ranks one whole-table step
-and the per-variable plans that ``_greedy_plan`` builds, as kernel calls,
-along greedy min-degree and min-fill orders, in one list by predicted cost:
-products plus ``_STEP`` per kernel call.  Every step runs in the one kernel
-``_int_sum_product``, and each is priced at the products
-``funcs._sum_product_count`` gives for it.
-``near_assignment_total`` refuses instances of more than ``NEAR_CAP``
-variables.  Both constants are read at call time.  Tables are scaled, summed
-and mapped in ``funcs`` alone.
+to take at most ``funcs.ELIMINATION_BUDGET`` products, and raises
+CapacityError before building any table past it.  ``_plan`` ranks one
+whole-table step and the per-variable plans that ``_greedy_plan`` builds, as
+kernel calls, along greedy min-degree and min-fill orders, in one list by
+predicted cost: products plus ``_STEP`` per kernel call.  Every step runs in
+the one kernel ``_int_sum_product``, priced by ``funcs._sum_product_count``
+on the kernel's own spans.  ``near_assignment_total`` refuses instances of
+more than ``NEAR_CAP`` variables.  The budget and ``NEAR_CAP`` are read at
+call time.  Tables are scaled, summed and mapped in ``funcs`` alone.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from . import funcs
 from .funcs import (
     ARITY_CAP,
     EQ3,
@@ -62,7 +62,6 @@ from .funcs import (
 )
 
 __all__ = [
-    "ELIMINATION_BUDGET",
     "NEAR_CAP",
     "InstanceError",
     "Table",
@@ -80,15 +79,6 @@ __all__ = [
 
 Table = Union[PBFunction, SignedTable]
 
-# z_exact's bound on the products of the plan it keeps, a time guard: at
-# 0.06-0.2 us per product on tables of small ints and 0.3-0.55 us on the long
-# ints of tables with denominators (2 cores, Python 3.11, a shared host;
-# cliques to grids), a plan at the budget runs in about 0.25-2.3 s.  It counts
-# products only, not _STEP.  A per-variable step costs at least twice its
-# table's size.  The whole-table step returns one entry and keeps at most one
-# of the kernel's slices, 2**12 entries, however early it sums its variables
-# out.  So no table holds more than ELIMINATION_BUDGET / 2 entries.
-ELIMINATION_BUDGET = 1 << 22
 # The fixed cost of a kernel call, in products, that z_exact charges each step
 # when it compares plans.  Measured on the same host, with the whole-table
 # step charged what the kernel takes (``_sum_product_count``, which sums each
@@ -463,15 +453,15 @@ def _plan(n: int, scopes: Sequence[Sequence[int]]) -> list[tuple[int, int, list[
     the products ``_sum_product_count`` gives (the kernel sums each variable
     out once no later atom reads it), then ``_greedy_plan``'s min-degree plan
     and, past ``_FILL_FROM`` min-degree products, its min-fill plan up to one
-    product fewer.  Each within ``ELIMINATION_BUDGET`` is charged its products
-    plus ``_STEP`` per kernel call, and the first of least charge is kept.
-    The single step is taken without planning the others when its products
-    are at most ``_STEP * n``, the fixed cost alone of the n calls of any
-    per-variable plan.  With none within the budget this raises
-    CapacityError, before any table is built, naming the order that had
-    counted fewer products.
+    product fewer.  Each within ``funcs.ELIMINATION_BUDGET`` (read at call
+    time) is charged its products plus ``_STEP`` per kernel call, and the
+    first of least charge is kept.  The single step is taken without planning
+    the others when its products are at most ``_STEP * n``, the fixed cost
+    alone of the n calls of any per-variable plan.  With none within the
+    budget this raises CapacityError, before any table is built, naming the
+    order that had counted fewer products.
     """
-    budget = ELIMINATION_BUDGET
+    budget = funcs.ELIMINATION_BUDGET
     # The single step's variables are 0..n-1 in order, so its atoms keep their scopes.
     atoms = [(atom, scope) for atom, scope in enumerate(scopes) if scope]
     single = [(0, n, atoms)]
@@ -498,11 +488,11 @@ def z_exact(inst: CspInstance) -> Fraction:
     """Partition function by bucket elimination along ``_plan``.
 
     Exact, signed registries allowed.  A plan predicted to take more than
-    ``ELIMINATION_BUDGET`` products raises CapacityError before any table is
-    built.  Only variables in some scope are planned, in ``inst.variables``
-    order; each other variable doubles the total.  ``_integer_atoms`` scales
-    each used table to ints once, the messages stay ints, and the one Fraction
-    is the total over its denominator.
+    ``funcs.ELIMINATION_BUDGET`` products raises CapacityError before any
+    table is built.  Only variables in some scope are planned, in
+    ``inst.variables`` order; each other variable doubles the total.
+    ``_integer_atoms`` scales each used table to ints once, the messages stay
+    ints, and the one Fraction is the total over its denominator.
     """
     constraints, variables = inst.constraints, inst.variables
     used = {v for scope, _ in constraints for v in scope}

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from spincount import instances, matching
+from spincount import funcs, matching
 from spincount.cli import main, parse_function_literal
 from spincount.funcs import PBFunction, SignedTable, binary
 from spincount.instances import serialize
@@ -205,7 +205,7 @@ def test_z_estimate_matches_z_exact_bytes(ferro_file, capsys):
 
 
 def test_z_estimate_sampling_path_stays_close(ferro_file, capsys, monkeypatch):
-    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 0)  # send the 3-cycle down the chain
+    monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", 0)  # send the 3-cycle down the chain
     monkeypatch.setattr(matching, "EXACT_CAP", 6)  # and telescope its 12 vertices to 6
     assert main(["z-estimate", ferro_file, "--seed", "3"]) == 0
     value = Fraction(capsys.readouterr().out.strip())
@@ -216,8 +216,8 @@ def test_z_estimate_runs_flipped_fpras_function(tmp_path, capsys, monkeypatch):
     """binary(1, 1, 1, 4) is tagged FPRAS but has negative Fourier coefficients."""
     path = tmp_path / "ring1114.csp"
     path.write_text("fun g 2 1 1 1 4\n" + "".join(f"con g x{i} x{(i + 1) % 4}\n" for i in range(4)))
-    for budget in (instances.ELIMINATION_BUDGET, 0):
-        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
+    for budget in (funcs.ELIMINATION_BUDGET, 0):
+        monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", budget)
         assert main(["z-estimate", str(path)]) == 0
         assert capsys.readouterr().out == "343\n"
 
@@ -362,7 +362,7 @@ def test_unknown_subcommand_exits_two():
 
 
 # Each command, and the library modules it loads beyond spincount, spincount.cli
-# and spincount.funcs.  `gadgets` imports `instances` itself.
+# and spincount.funcs.
 _COMMAND_MODULES = [
     ([], []),
     (["classify", "--fun", "2 1 1 2"], ["classify"]),
@@ -372,8 +372,8 @@ _COMMAND_MODULES = [
     (["holant-check", "ferro"], ["instances"]),
     (["z-estimate", "ferro"], ["instances", "matching"]),
     (["triangle-graph", "prism"], ["instances", "matching"]),
-    (["gadget", "pin", "--fun", "3 1", "--eps", "1/100"], ["gadgets", "instances"]),
-    (["pinning", "--fun", "2 1"], ["gadgets", "instances"]),
+    (["gadget", "pin", "--fun", "3 1", "--eps", "1/100"], ["gadgets"]),
+    (["pinning", "--fun", "2 1"], ["gadgets"]),
 ]
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from spincount import gadgets, instances
+from spincount import funcs, gadgets, instances
 from spincount.funcs import (
     ARITY_CAP,
     DELTA0,
@@ -122,13 +122,32 @@ def test_eval_pps_product_budget(monkeypatch):
     are refused before the sum."""
     registry = {"f": binary(1, 2, 3, 4)}
     path = PpsFormula(1, 2, (("f", (0, 1)), ("f", (1, 2))))
-    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", 16)
+    monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", 16)
     assert eval_pps(path, registry).table == (17, 37)
     _patch_kernel(monkeypatch, registry, path)
     with pytest.raises(CapacityError, match="products"):
         eval_pps(PpsFormula(1, 3, path.atoms), registry)
     with pytest.raises(CapacityError, match="products"):
         eval_pps(PpsFormula(0, 5, ()), {})
+
+
+def test_one_budget_in_funcs_steers_z_exact_and_eval_pps(monkeypatch):
+    """``funcs.ELIMINATION_BUDGET`` is the one budget of both exact sums.
+    Lowered to 15 alone, it refuses z_exact on a 6-ring (16+ products) and
+    eval_pps on a path over three variables (16); restored, both answer as
+    before."""
+    f = binary(2, 1, 1, 2)
+    ring = instances.CspInstance.build({"f": f}, [((f"x{i}", f"x{(i + 1) % 6}"), "f") for i in range(6)])
+    path = PpsFormula(1, 2, (("f", (0, 1)), ("f", (1, 2))))
+    answers = (instances.z_exact(ring), eval_pps(path, {"f": f}))
+    assert answers == (3**6 + 1, PBFunction(1, (9, 9)))
+    monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", 15)
+    with pytest.raises(CapacityError, match="past 15"):
+        instances.z_exact(ring)
+    with pytest.raises(CapacityError, match="past 15"):
+        eval_pps(path, {"f": f})
+    monkeypatch.undo()
+    assert (instances.z_exact(ring), eval_pps(path, {"f": f})) == answers
 
 
 def test_eval_pps_charges_the_products_the_kernel_takes(monkeypatch):

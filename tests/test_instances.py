@@ -15,6 +15,7 @@ from spincount.funcs import (
     ARITY_CAP,
     DELTA0,
     DELTA1,
+    ELIMINATION_BUDGET,
     EQ,
     EQ3,
     IMP,
@@ -593,7 +594,7 @@ def test_plan_keeps_the_cheapest_candidate():
     per-variable plan, min-degree on a tie.  The first list takes 1170
     products in one step, within the rule's 1280 though m * 2**n is 4096."""
     rng = random.Random(2424)
-    budget = instances.ELIMINATION_BUDGET
+    budget = ELIMINATION_BUDGET
     outcomes = {"rule": 0, "compared": 0, "per-variable": 0}
     drawn = [[(0,), (1, 2, 3), (4, 5, 6), (7, 8, 9)]]
     for i in range(800):
@@ -670,7 +671,7 @@ def test_every_candidate_is_priced_by_the_one_count(monkeypatch):
         if counted:
             single = [(0, n, [(atom, scope) for atom, scope in enumerate(scopes) if scope])]
             assert len(counted) == 1
-            assert counted[0] == _priced(single) or counted[0] > instances.ELIMINATION_BUDGET < _priced(single)
+            assert counted[0] == _priced(single) or counted[0] > ELIMINATION_BUDGET < _priced(single)
         if plan == greedy["min-fill"] != greedy["min-degree"]:
             kept["min-fill"] += 1
         elif len(plan) == 1 and counted and n > 1:

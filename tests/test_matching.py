@@ -25,9 +25,9 @@ from spincount.funcs import (
     in_cp,
     unary,
 )
-from spincount import instances, matching
+from spincount import funcs, matching
+from spincount.funcs import ELIMINATION_BUDGET
 from spincount.instances import (
-    ELIMINATION_BUDGET,
     CspInstance,
     HolantInstance,
     InstanceError,
@@ -671,7 +671,7 @@ def test_estimate_z_fpras_k14_is_exact_and_fast():
 def test_estimate_z_fpras_random_exact_path(monkeypatch):
     """Exact by elimination, and through the pipeline when the elimination budget is 0."""
     for budget in (ELIMINATION_BUDGET, 0):
-        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
+        monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", budget)
         rng = random.Random(41)
         for _ in range(15):
             f = rand_cp_binary(rng)
@@ -683,7 +683,7 @@ def test_estimate_z_fpras_random_exact_path(monkeypatch):
 def test_estimate_z_fpras_reads_equal_tables_under_two_names(monkeypatch, budget):
     """Constraints naming entries f and g of one table, next to an unused signed
     entry, give the same exact Z on both sides of the elimination budget."""
-    monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
+    monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", budget)
     triangle = [(("x", "y"), "f"), (("y", "z"), "g"), (("z", "x"), "f")]
     for fn, z in ((binary(2, 1, 1, 2), 28), (binary(1, 1, 1, 3), 40)):
         inst = CspInstance.build({"f": fn, "g": fn, "s": SignedTable(1, (1, -1))}, triangle)
@@ -694,7 +694,7 @@ def test_estimate_z_fpras_accepts_every_fpras_tag(monkeypatch):
     """Binaries tagged FPRAS are estimated exactly, by elimination and, with the
     elimination budget at 0, through the pipeline, also those run under a spin flip."""
     for budget in (ELIMINATION_BUDGET, 0):
-        monkeypatch.setattr(instances, "ELIMINATION_BUDGET", budget)
+        monkeypatch.setattr(funcs, "ELIMINATION_BUDGET", budget)
         rng = random.Random(43)
         flipped = 0
         for _ in range(20):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +58,12 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="module 'spincount' has no attribute 'no_such_name'"):
         spincount.no_such_name
+
+
+def test_gadgets_loads_no_other_submodule():
+    """A fresh interpreter that imports ``spincount.gadgets`` loads ``funcs`` and
+    nothing else of the package: the elimination budget it reads lives there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, spincount.gadgets; print(*sorted(m for m in sys.modules if m.startswith('spincount')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["spincount", "spincount.funcs", "spincount.gadgets"]
